@@ -1,9 +1,10 @@
 """Command-line front end: verify / tables / intertwiner.
 
 Exit codes: 0 all checks pass, 1 at least one suite failed, 2 bad
-configuration, 3 the configured truncation bounds are too tight for a
-requested computation.  JSON output is deterministic byte-for-byte for a
-fixed configuration and seed; timing is printed to the console only.
+configuration or an unreadable/unwritable file, 3 the configured
+truncation bounds are too tight for a requested computation.  JSON
+output is deterministic byte-for-byte for a fixed configuration and
+seed; timing is printed to the console only.
 """
 
 from __future__ import annotations
@@ -43,16 +44,20 @@ def _parse_pair(text: str):
 
 def load_config_file(path: str) -> dict:
     """Flat key = value lines; '#' comments; rationals as p/q."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -88,7 +93,11 @@ def build_config(args) -> RunConfig:
     if getattr(args, "max_v_weight", None) is not None:
         cfg = _replace(cfg, "max_v_weight", args.max_v_weight)
     if getattr(args, "charges", None):
-        cfg = _replace(cfg, "charges", _parse_charges(args.charges))
+        try:
+            charges = _parse_charges(args.charges)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad value for --charges: {args.charges!r} ({exc})")
+        cfg = _replace(cfg, "charges", charges)
     if getattr(args, "workers", None) is not None:
         cfg = _replace(cfg, "workers", args.workers)
     if getattr(args, "suite", None):
@@ -108,13 +117,24 @@ def _partition_str(p: tuple) -> str:
     return ",".join(str(x) for x in p)
 
 
-def _dump_json(payload, path) -> None:
+def _write_file(path, write, newline=None) -> bool:
+    """Call write(fh) on path; an I/O error is reported as one stderr line."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        print(f"output error: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return False
+    return True
+
+
+def _dump_json(payload, path) -> bool:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return True
+    return _write_file(path, lambda fh: fh.write(text))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +167,8 @@ def cmd_verify(args) -> int:
         "suites": [r.row() for r in reports],
         "pass": all(r.ok for r in reports),
     }
-    if args.json:
-        _dump_json(payload, args.json)
+    if args.json and not _dump_json(payload, args.json):
+        return EXIT_CONFIG
     return EXIT_OK if payload["pass"] else EXIT_FAIL
 
 
@@ -171,12 +191,14 @@ def cmd_tables(args) -> int:
         print(f"truncation overflow: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+        def write(fh):
             writer = csv.writer(fh)
             writer.writerow(["action", "charge", "k", "n", "l", "left",
                              "right", "result", "coeff"])
             for row in rows:
                 writer.writerow(row)
+
+        ok = _write_file(args.csv, write, newline="")
     else:
         payload = {
             "schema": "voa-modes-tables/1",
@@ -186,8 +208,8 @@ def cmd_tables(args) -> int:
                                "right", "result", "coeff"), row))
                      for row in rows],
         }
-        _dump_json(payload, args.json)
-    return EXIT_OK
+        ok = _dump_json(payload, args.json)
+    return EXIT_OK if ok else EXIT_CONFIG
 
 
 def _table_rows(cfg: RunConfig, target: str):
@@ -278,8 +300,7 @@ def cmd_intertwiner(args) -> int:
         "N": cfg.n,
         "entries": entries,
     }
-    _dump_json(payload, args.json)
-    return EXIT_OK
+    return EXIT_OK if _dump_json(payload, args.json) else EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

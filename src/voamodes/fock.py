@@ -28,6 +28,7 @@ from .heisenberg import (
     FockVector,
     _add_into,
     _scale_terms,
+    _trusted_vector,
     expand_pair,
     partitions_of,
     sugawara_l,
@@ -117,7 +118,7 @@ class FockModule:
                 got = pair_mode_terms(nu, 0, mu, self.lam, t)
                 if got:
                     _add_into(out, got, cv * cw)
-        return FockVector(self.lam, out)
+        return _trusted_vector(self.lam, out)
 
     def l0(self, w: FockVector) -> FockVector:
         out: dict = {}
@@ -268,7 +269,7 @@ class FockIntertwiner:
                 got = pair_mode_terms(nu, self.lam1, mu, self.lam2, t)
                 if got:
                     _add_into(out, got, c1 * c2 * self.scale)
-        return FockVector(self.lam3, out)
+        return _trusted_vector(self.lam3, out)
 
     def series(self, w1: FockVector, w2: FockVector, lo, hi) -> LogLaurent:
         """Y(w1, x) w2 over the exponent window [lo, hi]."""

@@ -301,13 +301,13 @@ class FockVector:
         out = dict(self.terms)
         for p, c in other.terms.items():
             _acc(out, p, c)
-        return FockVector(self.charge, out)
+        return _trusted_vector(self.charge, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, s) -> "FockVector":
-        return FockVector(self.charge, _scale_terms(self.terms, rat(s)))
+        return _trusted_vector(self.charge, _scale_terms(self.terms, rat(s)))
 
     def __eq__(self, other):
         return (isinstance(other, FockVector)
@@ -327,8 +327,8 @@ class FockVector:
         return sorted({sum(p) for p in self.terms})
 
     def level_component(self, n: int) -> "FockVector":
-        return FockVector(self.charge,
-                          {p: c for p, c in self.terms.items() if sum(p) == n})
+        return _trusted_vector(
+            self.charge, {p: c for p, c in self.terms.items() if sum(p) == n})
 
     def level(self) -> int:
         """Level of a homogeneous vector (0 for the zero vector)."""
@@ -344,6 +344,27 @@ class FockVector:
             return f"FockVector({rat_str(self.charge)}; 0)"
         bits = [f"{rat_str(c)}*a{list(p)}" for p, c in sorted(self.terms.items())]
         return f"FockVector({rat_str(self.charge)}; " + " + ".join(bits) + ")"
+
+
+_new_object = object.__new__
+_set_charge = FockVector.charge.__set__
+_set_terms = FockVector.terms.__set__
+_set_hash = FockVector._hash.__set__
+
+
+def _trusted_vector(charge: Fraction, terms: dict) -> FockVector:
+    """FockVector from terms that are already canonical, skipping the checks.
+
+    The caller guarantees a `Fraction` charge, non-increasing partition
+    keys and nonzero `Fraction` values, and hands `terms` over: the
+    vector owns the dict, so it must be fresh and must not be kept or
+    mutated elsewhere.
+    """
+    vec = _new_object(FockVector)
+    _set_charge(vec, charge)
+    _set_terms(vec, terms)
+    _set_hash(vec, None)
+    return vec
 
 
 def zero_vector(charge) -> FockVector:
@@ -379,7 +400,7 @@ def sugawara_l(m: int, vec: FockVector) -> FockVector:
             continue
         cur = apply(b, cur)
         _add_into(out, cur, Q(1, 2))
-    return FockVector(vec.charge, out)
+    return _trusted_vector(vec.charge, out)
 
 
 def l_zero(vec: FockVector) -> FockVector:

@@ -13,6 +13,13 @@ evaluated three ways (directly, through L(0)-conjugation, or through the
 right vertex operator), and the three evaluations are kept as separate
 code paths so their agreement is a real check.
 
+Residue entries accumulate in plain {partition: Fraction} dicts and
+wrap each result in exactly one FockVector, built through the trusted
+constructor.  The conjugated right-action series
+(1+x)^{-L(0)} Y_W(v, -x) (1+x)^{L(0)} w up to x^{k+l} does not depend
+on the middle index n, so it sits in a bounded cache keyed on
+(w, v, k+l); the direct and right-operator forms never read it.
+
 Matrix entries are exact and uncapped: products routinely pass through
 weights above the module truncation bound on their way to a residue, and
 nothing is dropped.  The caps are enforced where results are promised to
@@ -28,6 +35,7 @@ from .fock import FockIntertwiner, FockModule, right_vertex_op
 from .heisenberg import (
     FockVector,
     _add_into,
+    _trusted_vector,
     conformal_vector,
     expand_pair,
     l_zero,
@@ -138,77 +146,81 @@ def left_entry(v: FockVector, w: FockVector, k: int, n: int, l: int) -> FockVect
 
 @lru_cache(maxsize=1 << 18)
 def _left_entry_cached(v, w, k, n, l):
-    alpha = -k + n - l - 1
     out: dict = {}
     for nu, cv in v.terms.items():
-        h = sum(nu)
+        weights = _residue_weights(k, n, l, l + sum(nu))
         for mu, cw in w.terms.items():
             pairs = expand_pair(nu, 0, mu, w.charge, sum(nu) + sum(mu) + k + l)
-            for m in range(0, n + 1):
-                cm = gen_binomial(alpha, m)
-                if cm == 0:
-                    continue
-                for j in range(0, l + h + 1):
-                    cj = gen_binomial(l + h, j)
-                    if cj == 0:
-                        continue
-                    got = pairs.get(k - n + l + m - j)
-                    if got:
-                        _add_into(out, got, cv * cw * cm * cj)
-    return FockVector(w.charge, out)
+            for t, c in weights.items():
+                got = pairs.get(t)
+                if got:
+                    _add_into(out, got, cv * cw * c)
+    return _trusted_vector(w.charge, out)
+
+
+@lru_cache(maxsize=1 << 10)
+def _residue_weights(k: int, n: int, l: int, e: int) -> dict:
+    """{s: c} with c = Res_x T_{k+l+1}((x+1)^(-k+n-l-1)) (1+x)^e x^s, c != 0."""
+    alpha = -k + n - l - 1
+    out: dict = {}
+    for m in range(0, n + 1):
+        cm = gen_binomial(alpha, m)
+        if cm == 0:
+            continue
+        for j in range(0, e + 1):
+            s = -1 - (alpha - m) - j
+            out[s] = out.get(s, 0) + cm * gen_binomial(e, j)
+    return {s: c for s, c in out.items() if c != 0}
 
 
 def _wv_modes(w: FockVector, v: FockVector, t_hi: int) -> dict:
-    """{t: vector} modes of Y_W(v, z) w with z-exponent at most t_hi."""
+    """{t: terms} modes of Y_W(v, z) w with z-exponent at most t_hi."""
     by_t: dict = {}
     for nu, cv in v.terms.items():
         for mu, cw in w.terms.items():
             base = sum(nu) + sum(mu)
             for t, terms in expand_pair(nu, 0, mu, w.charge, base + t_hi).items():
-                vec = FockVector(w.charge, terms).scale(cv * cw)
-                by_t[t] = by_t.get(t, zero_vector(w.charge)) + vec
-    return {t: vec for t, vec in by_t.items() if not vec.is_zero()}
+                _add_into(by_t.setdefault(t, {}), terms, cv * cw)
+    return {t: terms for t, terms in by_t.items() if terms}
 
 
 def _residue_against(stuff: dict, charge, k: int, n: int, l: int) -> FockVector:
-    """Res_x T_{k+l+1}((x+1)^(-k+n-l-1)) (1+x)^k * sum_s stuff[s] x^s."""
-    alpha = -k + n - l - 1
-    out = zero_vector(charge)
-    for m in range(0, n + 1):
-        cm = gen_binomial(alpha, m)
-        if cm == 0:
-            continue
-        for j in range(0, k + 1):
-            cj = gen_binomial(k, j)
-            s = -1 - (alpha - m) - j
-            vec = stuff.get(s)
-            if vec is not None:
-                out = out + vec.scale(cm * cj)
-    return out
+    """Res_x T_{k+l+1}((x+1)^(-k+n-l-1)) (1+x)^k * sum_s stuff[s] x^s.
+
+    `stuff` maps s to canonical {partition: coeff} terms; it is only read.
+    """
+    out: dict = {}
+    for s, c in _residue_weights(k, n, l, k).items():
+        terms = stuff.get(s)
+        if terms:
+            _add_into(out, terms, c)
+    return _trusted_vector(charge, out)
+
+
+@lru_cache(maxsize=64)
+def _conjugated_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
+    """{s: terms} of (1+x)^{-L(0)} Y_W(v, -x) (1+x)^{L(0)} w up to x^t_hi.
+
+    Per homogeneous pieces the conjugation collapses to the scalar factor
+    (1+x)^(-h - t) on the t-th mode of Y_W(v, -x) w (h = wt v): the
+    fractional parts of the two L(0) weights cancel exactly.  The result
+    is shared by every entry with k + l = t_hi and must not be mutated.
+    """
+    stuff: dict = {}
+    for h in v.levels():
+        for t, terms in _wv_modes(w, v.level_component(h), t_hi).items():
+            sign = Q(-1) if t % 2 else Q(1)
+            for j in range(0, t_hi - t + 1):
+                cj = gen_binomial(-h - t, j)
+                if cj != 0:
+                    _add_into(stuff.setdefault(t + j, {}), terms, sign * cj)
+    return {s: terms for s, terms in stuff.items() if terms}
 
 
 def right_entry_conjugated(w: FockVector, v: FockVector, k: int, n: int,
                            l: int) -> FockVector:
-    """Right action entry via (1+x)^{-L(0)} Y_W(v, -x) (1+x)^{L(0)} w.
-
-    Per homogeneous pieces the conjugation collapses to the scalar factor
-    (1+x)^(-h - t) on the t-th mode of Y_W(v, -x) w (h = wt v): the
-    fractional parts of the two L(0) weights cancel exactly.
-    """
-    t_hi = k + l
-    stuff: dict = {}
-    for h in sorted({sum(nu) for nu in v.terms}):
-        v_h = FockVector(0, {p: c for p, c in v.terms.items() if sum(p) == h})
-        for t, vec in _wv_modes(w, v_h, t_hi).items():
-            sign = Q(-1) if t % 2 else Q(1)
-            for j in range(0, t_hi - t + 1):
-                cj = gen_binomial(-h - t, j)
-                if cj == 0:
-                    continue
-                s = t + j
-                cur = stuff.get(s, zero_vector(w.charge))
-                stuff[s] = cur + vec.scale(sign * cj)
-    return _residue_against(stuff, w.charge, k, n, l)
+    """Right action entry via (1+x)^{-L(0)} Y_W(v, -x) (1+x)^{L(0)} w."""
+    return _residue_against(_conjugated_series(w, v, k + l), w.charge, k, n, l)
 
 
 def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
@@ -222,16 +234,17 @@ def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
     acc = LogLaurent()
     for h in sorted({sum(nu) for nu in v.terms}):
         v_h = FockVector(0, {p: c for p, c in v.terms.items() if sum(p) == h})
-        for t, vec in _wv_modes(w, v_h, t_hi).items():
+        for t, terms in _wv_modes(w, v_h, t_hi).items():
             # (1+x)^{-h} * z^t = (-1)^t x^t (1+x)^{-t-h}
             sign = Q(-1) if t % 2 else Q(1)
+            vec = FockVector(w.charge, terms).scale(sign)
             expanded = binom_series(-t - h, max(0, t_hi - t)).shift(t)
-            term = LogLaurent({(Q(0), 0): vec.scale(sign)}).mul_scalar_series(expanded)
+            term = LogLaurent({(Q(0), 0): vec}).mul_scalar_series(expanded)
             acc = acc + term
     stuff = {}
     for (e, logp), vec in acc.terms.items():
         if logp == 0 and e.denominator == 1:
-            stuff[int(e)] = vec
+            stuff[int(e)] = vec.terms
     return _residue_against(stuff, w.charge, k, n, l)
 
 
@@ -273,7 +286,8 @@ def right_entry_right_op(w: FockVector, v: FockVector, k: int, n: int,
             d += 1
             cur = (sugawara_l(-1, cur) + l_zero(cur)
                    + cur.scale(d - 1)).scale(Q(-1, d))
-    return _residue_against(final, charge, k, n, l)
+    return _residue_against({s: vec.terms for s, vec in final.items()},
+                            charge, k, n, l)
 
 
 @lru_cache(maxsize=1 << 18)

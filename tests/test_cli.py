@@ -171,3 +171,40 @@ def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(suites=("nope",)).validate()
     assert RunConfig().validate().n == 2
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_charges_division_by_zero_exit_code(capsys):
+    assert main(["verify", "--charges", "1/0", "--suite", "binomial-218"]) == 2
+    assert "--charges" in _assert_one_line_error(capsys)
+
+
+def test_charges_not_a_rational_exit_code(capsys):
+    assert main(["verify", "--charges", "x", "--suite", "binomial-218"]) == 2
+    assert "--charges" in _assert_one_line_error(capsys)
+
+
+def test_missing_config_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["verify", "--config", str(missing)]) == 2
+    assert str(missing) in _assert_one_line_error(capsys)
+
+
+def test_unwritable_json_exit_code(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["verify", "--suite", "binomial-218", "--json", str(out)]) == 2
+    assert str(out) in _assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_unwritable_csv_exit_code(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "rows.csv"
+    assert main(["tables", "--target", "algebra", "--N", "0",
+                 "--max-v-weight", "1", "--csv", str(out)]) == 2
+    assert str(out) in _assert_one_line_error(capsys)
+    assert not out.exists()

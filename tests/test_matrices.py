@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -342,3 +343,86 @@ def test_theta_linearity():
         assert M.theta(k, l, v, w1.scale(-5)) == M.theta(k, l, v, w1).scale(-5)
 
     check()
+
+
+def _clear_caches():
+    from voamodes import heisenberg, matrices, series
+
+    heisenberg._EXPAND_CACHE.clear()
+    heisenberg._DRESSING_CACHE.clear()
+    series._binom_cached.cache_clear()
+    matrices._left_entry_cached.cache_clear()
+    matrices._right_entry_cached.cache_clear()
+    matrices._conjugated_series.cache_clear()
+    matrices._residue_weights.cache_clear()
+
+
+def _assert_canonical(vec, shared=()):
+    """vec is in the form FockVector() builds, and owns its terms dict."""
+    from voamodes.heisenberg import _EXPAND_CACHE
+
+    assert vec == FockVector(vec.charge, dict(vec.terms))
+    assert type(vec.charge) is Q
+    for p, c in vec.terms.items():
+        assert type(p) is tuple and all(type(x) is int and x > 0 for x in p)
+        assert all(p[i] >= p[i + 1] for i in range(len(p) - 1))
+        assert type(c) is Q and c != 0
+    held = {id(terms) for _, pairs in _EXPAND_CACHE.values()
+            for terms in pairs.values()}
+    held.update(id(terms) for terms in shared)
+    assert id(vec.terms) not in held
+
+
+def test_results_are_canonical_and_own_their_terms():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from voamodes.heisenberg import sugawara_l
+    from voamodes.matrices import _conjugated_series
+
+    M = FockModule(Q(1, 2), level_cap=20)
+    Y = fock_intertwiner(Q(1, 2), Q(1), level_cap=20)
+    idx = st.integers(0, 2)
+
+    @settings(deadline=None, max_examples=25)
+    @given(_vector_strategy(0), _vector_strategy(0), _vector_strategy(Q(1, 2)),
+           _vector_strategy(Q(1)), idx, idx, idx, st.integers(-1, 1),
+           st.integers(-2, 2))
+    def check(u, v, w, w2, k, n, l, m, t):
+        for vec in (u + v, u - u, u.scale(Q(-2, 3)), u.scale(0),
+                    u.level_component(2), sugawara_l(m, w),
+                    M.mode(v, t, w), Y.mode(0, -t - 1 - Y.base_exponent, w, w2)):
+            _assert_canonical(vec)
+        # the cached forms over the whole index grid, the oracles at one point
+        for kk, nn, ll in itertools.product(range(3), repeat=3):
+            _assert_canonical(left_entry(v, w, kk, nn, ll))
+            series = _conjugated_series(w, v, kk + ll).values()
+            _assert_canonical(right_entry(w, v, kk, nn, ll), series)
+        for form in ("direct", "right-op"):
+            series = _conjugated_series(w, v, k + l).values()
+            _assert_canonical(right_entry(w, v, k, n, l, form), series)
+
+    check()
+
+
+def _right_entry_grid(order):
+    # mixed-level w and v exercise the per-level split of each form
+    M = FockModule(Q(1, 2), level_cap=8)
+    ws = [M.highest(), M.basis(1)[0] + M.highest().scale(-2)]
+    vs = [A1, ONE.scale(Q(1, 2)) + A1 + OM]
+    kls = sorted(((k, l) for k in range(5) for l in range(5) if k + l <= 4),
+                 key=lambda kl: sum(kl), reverse=(order == "descending"))
+    return {(i, j, k, n, l, form): right_entry(w, v, k, n, l, form)
+            for k, l in kls for n in range(3)
+            for i, w in enumerate(ws) for j, v in enumerate(vs)
+            for form in ("conjugated", "direct", "right-op")}
+
+
+def test_right_entries_independent_of_cache_state_and_order():
+    _clear_caches()
+    ascending = _right_entry_grid("ascending")
+    _clear_caches()
+    descending = _right_entry_grid("descending")
+    assert ascending == descending
+    for (i, j, k, n, l, form), vec in ascending.items():
+        assert vec == ascending[(i, j, k, n, l, "conjugated")], (i, j, k, n, l, form)
