@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from dataclasses import replace as _dc_replace
+from itertools import repeat
 
 from .correspondence import rho_n
 from .errors import TruncationOverflow
@@ -92,7 +93,7 @@ def build_config(args) -> RunConfig:
         cfg = _replace(cfg, "seed", args.seed)
     if getattr(args, "max_v_weight", None) is not None:
         cfg = _replace(cfg, "max_v_weight", args.max_v_weight)
-    if getattr(args, "charges", None):
+    if getattr(args, "charges", None) is not None:
         try:
             charges = _parse_charges(args.charges)
         except (ValueError, ZeroDivisionError) as exc:
@@ -129,12 +130,51 @@ def _write_file(path, write, newline=None) -> bool:
     return True
 
 
+# item separator ",\n": encoded scalars never hold a raw newline, so each
+# newline of a flat container's encoding starts one item
+_FLAT_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
+
+
+def _write_json(write, obj, indent: str = "") -> None:
+    """Stream json.dumps(obj, indent=2, sort_keys=True) through write().
+
+    Scalars, and containers holding only scalars, go through the C
+    encoder in one call each; only the nesting above them runs in
+    Python.  Object keys must be strings.
+    """
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        write(_FLAT_JSON.encode(obj))
+        return
+    inner = indent + "  "
+    values = obj.values() if is_dict else obj
+    if not any(map(isinstance, values, repeat((dict, list, tuple)))):
+        flat = _FLAT_JSON.encode(obj)
+        if obj:
+            flat = (flat[0] + "\n" + inner + flat[1:-1].replace("\n", "\n" + inner)
+                    + "\n" + indent + flat[-1])
+        write(flat)
+        return
+    write("{" if is_dict else "[")
+    sep = "\n"
+    for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
+        write(sep + inner)
+        sep = ",\n"
+        if is_dict:
+            write(_FLAT_JSON.encode(key) + ": ")
+        _write_json(write, value, inner)
+    write("\n" + indent + ("}" if is_dict else "]"))
+
+
 def _dump_json(payload, path) -> bool:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    def dump(fh):
+        _write_json(fh.write, payload)
+        fh.write("\n")
+
     if path in (None, "-"):
-        sys.stdout.write(text)
+        dump(sys.stdout)
         return True
-    return _write_file(path, lambda fh: fh.write(text))
+    return _write_file(path, dump)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,21 @@ annihilation or zero mode to the right of every creation mode; the zero
 modes (including x^{q1 a(0)}) act before the charge shift, so they read
 the charge of w.  All arithmetic is exact.
 
+The engine carries integer numerators over one common denominator per
+expansion and divides once, when the result goes into `_EXPAND_CACHE`
+as `Fraction`s.  With lam1 = p1/q1 and lam2 = p2/q2 the denominator
+has three sources:
+
+- each exponential mode n applied at most J times is scaled by
+  S_n = (q1 n)^J J!, which makes every factor (+-lam1)^j/(n^j j!) an
+  integer; J = mu.count(n) in the annihilation stage and J = budget//n
+  in the creation stage;
+- each current hit in the annihilation stage is scaled by q2 (the zero
+  mode contributes p2), and every group of remaining currents is lifted
+  to q2^r for r currents;
+- the current binomials have integer tops, C(-k-1, m) =
+  (-1)^m C(k+m, m) and C(d-1, m), and are exact integers already.
+
 The algebra of the conformal vector w = (1/2)a(-1)^2 |0> acts through
 the same engine; the Sugawara forms of L(0), L(+-1) are provided
 directly as fast paths and are cross-checked against the engine in the
@@ -25,9 +40,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
 from .errors import NonHomogeneous, TruncationOverflow
-from .series import LogLaurent, gen_binomial, rat, rat_str
+from .series import LogLaurent, rat, rat_str
 
 Q = Fraction
 
@@ -124,63 +140,84 @@ def _max_part(terms: dict) -> int:
 _EXPAND_CACHE: dict = {}
 
 
-def _apply_exp_annihilation(states: dict, lam1: Fraction, top: int) -> dict:
-    """exp(-lam1 sum_{n>0} a(n) x^-n / n) on {xoffset: terms}."""
-    for n in range(1, top + 1):
-        out = {}
+def _exp_factors(p: int, qn: int, top: int) -> list:
+    """[S, S*r, ..., S*r^top/top!] for r = p/qn, with S = qn^top * top!.
+
+    These are the first top+1 terms of S*exp(r) scaled by S so that every
+    one is an integer: S*r^j/j! = p^j qn^(top-j) top!/j!.
+    """
+    out = [qn ** top * factorial(top)]
+    for j in range(1, top + 1):
+        out.append(out[-1] * p // (qn * j))
+    return out
+
+
+def _apply_exp_annihilation(mu: tuple, p1: int, q1: int) -> tuple:
+    """exp(-lam1 sum_{n>0} a(n) x^-n / n) a(-mu)|.>, lam1 = p1/q1.
+
+    Returns (scale, {xoffset: terms}) with integer coefficients; the true
+    coefficients are these divided by scale.  Mode n acts at most
+    J = mu.count(n) times, so it contributes the factor (q1 n)^J J!.
+    """
+    scale = 1
+    states = {0: {mu: 1}}
+    for n in sorted(set(mu)):
+        factors = _exp_factors(-p1, q1 * n, mu.count(n))
+        scale *= factors[0]
+        out: dict = {}
         for t, terms in states.items():
-            j = 0
-            factor = Q(1)
             cur = terms
-            while cur:
-                _add_into(out.setdefault(t - n * j, {}), cur, factor)
-                j += 1
-                factor = factor * (-lam1) / (n * j)
+            for j, f in enumerate(factors):
+                if not cur:
+                    break
+                _add_into(out.setdefault(t - n * j, {}), cur, f)
                 cur = apply_annihilator(n, cur)
         states = {t: v for t, v in out.items() if v}
-    return states
+    return scale, states
 
 
 _DRESSING_CACHE: dict = {}
 
 
-def _creation_dressing(pending: tuple, lam1: Fraction, budget: int) -> dict:
-    """{(xoffset, inserted partition): coeff} for the creation stage.
+def _creation_dressing(pending: tuple, p1: int, q1: int, budget: int) -> tuple:
+    """(scale, [(size, xoffset, inserted partition, coeff)]) for the creation stage.
 
     The creation halves of the pending currents and the creation
     exponential only ever insert parts, with coefficients independent of
     what they act on; the whole stage collapses to this finite table
-    (insertions bounded by `budget`).
+    (insertions bounded by `budget`), sorted by the size of the
+    insertion.  Coefficients are integers over `scale`: the currents
+    contribute binomials C(d-1, n_i-1), and exponential mode n acts at
+    most J = budget//n times, contributing (q1 n)^J J!.
     """
-    key = (pending, lam1, budget)
+    key = (pending, p1, q1, budget)
     got = _DRESSING_CACHE.get(key)
     if got is not None:
         return got
-    dressing = {(0, EMPTY): Q(1)}
+    dressing = {(0, EMPTY): 1}
     for ni in pending:
         nxt: dict = {}
         for (t, ins), c in dressing.items():
-            room = budget - sum(ins)
-            for d in range(ni, room + 1):
-                cd = gen_binomial(d - 1, ni - 1)
-                if cd != 0:
-                    _acc(nxt, (t + d - ni, _insert_part(ins, d)), c * cd)
+            for d in range(ni, budget - sum(ins) + 1):
+                _acc(nxt, (t + d - ni, _insert_part(ins, d)), c * comb(d - 1, ni - 1))
         dressing = nxt
-    if lam1 != 0:
+    scale = 1
+    if p1:
         for n in range(1, budget + 1):
+            factors = _exp_factors(p1, q1 * n, budget // n)
+            scale *= factors[0]
             nxt = {}
             for (t, ins), c in dressing.items():
-                j = 0
-                factor = Q(1)
                 cur = ins
-                while sum(cur) <= budget:
-                    _acc(nxt, (t + n * j, cur), c * factor)
-                    j += 1
-                    factor = factor * lam1 / (n * j)
+                for j, f in enumerate(factors):
+                    if sum(cur) > budget:
+                        break
+                    _acc(nxt, (t + n * j, cur), c * f)
                     cur = _insert_part(cur, n)
             dressing = nxt
-    _DRESSING_CACHE[key] = dressing
-    return dressing
+    got = (scale, sorted((sum(ins), t, ins, c) for (t, ins), c in dressing.items()))
+    _DRESSING_CACHE[key] = got
+    return got
 
 
 def _merge_parts(p: tuple, ins: tuple) -> tuple:
@@ -197,56 +234,74 @@ def _expand_basis_pair(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction,
 
     Output terms live at charge lam1 + lam2; every t with
     0 <= sum(nu) + sum(mu) + t <= max_level is present (possibly zero and
-    then absent).
+    then absent).  The three stages work on integer numerators; the
+    result is divided by their common denominator once, at the end.
     """
+    p1, q1 = lam1.numerator, lam1.denominator
+    p2, q2 = lam2.numerator, lam2.denominator
     r = len(nu)
-    start = {0: {mu: Q(1)}}
-    if lam1 != 0:
-        start = _apply_exp_annihilation(start, lam1, sum(mu))
+    if p1:
+        scale, start = _apply_exp_annihilation(mu, p1, q1)
+    else:
+        scale, start = 1, {0: {mu: 1}}
 
     # annihilation stage per subset of currents, grouped by what remains
-    # for the creation stage
+    # for the creation stage.  The zero mode of a(x) contributes
+    # lam2 C(-1, n_i-1) and a(k) contributes C(-k-1, n_i-1) =
+    # (-1)^(n_i-1) C(k+n_i-1, n_i-1); each current is scaled by q2, and
+    # every bucket is lifted to the common scale q2^r.
     by_pending: dict = {}
     for take in range(r + 1):
         for right in combinations(range(r), take):
-            right_set = set(right)
             states = start
             for i in right:
                 ni = nu[i]
+                sign = 1 if ni % 2 else -1
                 nxt: dict = {}
                 for t, terms in states.items():
-                    if lam2 != 0:
-                        c0 = lam2 * gen_binomial(-1, ni - 1)
-                        _add_into(nxt.setdefault(t - ni, {}), terms, c0)
+                    if p2:
+                        _add_into(nxt.setdefault(t - ni, {}), terms, sign * p2)
                     for k in range(1, _max_part(terms) + 1):
                         hit = apply_annihilator(k, terms)
                         if hit:
                             _add_into(nxt.setdefault(t - k - ni, {}), hit,
-                                      gen_binomial(-k - 1, ni - 1))
+                                      sign * q2 * comb(k + ni - 1, ni - 1))
                 states = {t: v for t, v in nxt.items() if v}
                 if not states:
                     break
             if not states:
                 continue
-            pending = tuple(sorted((nu[i] for i in range(r)
-                                    if i not in right_set), reverse=True))
+            pending = tuple(sorted((nu[i] for i in range(r) if i not in right),
+                                   reverse=True))
             bucket = by_pending.setdefault(pending, {})
+            lift = q2 ** (r - take)
             for t, terms in states.items():
-                _add_into(bucket.setdefault(t, {}), terms)
+                _add_into(bucket.setdefault(t, {}), terms, lift)
+    scale *= q2 ** r
 
-    # creation stage once per distinct pending multiset
+    # creation stage once per distinct pending multiset; every dressing
+    # has the same scale, and zero sums are dropped at the conversion
     out: dict = {}
+    dscale = 1
     for pending, states in by_pending.items():
-        dressing = _creation_dressing(pending, lam1, max_level)
+        dscale, dressing = _creation_dressing(pending, p1, q1, max_level)
         for t, terms in states.items():
             for p, c in terms.items():
                 room = max_level - sum(p)
-                for (dt, ins), dc in dressing.items():
-                    if sum(ins) <= room:
-                        _acc(out.setdefault(t + dt, {}), _merge_parts(p, ins),
-                             c * dc)
+                for size, dt, ins, dc in dressing:
+                    if size > room:
+                        break
+                    target = out.setdefault(t + dt, {})
+                    key = _merge_parts(p, ins)
+                    target[key] = target.get(key, 0) + c * dc
+    scale *= dscale
 
-    return {t: v for t, v in out.items() if v}
+    result = {}
+    for t, terms in out.items():
+        terms = {p: Fraction(c, scale) for p, c in terms.items() if c}
+        if terms:
+            result[t] = terms
+    return result
 
 
 def expand_pair(nu: tuple, lam1, mu: tuple, lam2, max_level: int) -> dict:

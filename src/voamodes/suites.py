@@ -92,6 +92,8 @@ class RunConfig:
             raise ConfigError("L_max must be at least 4")
         if self.n > self.l_max:
             raise ConfigError("N must not exceed L_max")
+        if not self.charges:
+            raise ConfigError("charges must name at least one charge")
         if self.p_window[0] > self.p_window[1]:
             raise ConfigError("empty p window")
         if self.max_v_weight < 1:

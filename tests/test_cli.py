@@ -3,8 +3,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voamodes.cli import main
+from voamodes.cli import _dump_json, main
 from voamodes.suites import ConfigError, RunConfig
 
 SCHEMA = json.loads(
@@ -189,6 +191,19 @@ def test_charges_not_a_rational_exit_code(capsys):
     assert "--charges" in _assert_one_line_error(capsys)
 
 
+def test_empty_charges_flag_exit_code(capsys):
+    for flag in ("--charges=,", "--charges="):
+        assert main(["verify", flag, "--suite", "binomial-218"]) == 2
+        assert "charges" in _assert_one_line_error(capsys)
+
+
+def test_empty_charges_config_key_exit_code(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("charges = ,\nsuites = binomial-218\n")
+    assert main(["verify", "--config", str(cfgfile)]) == 2
+    assert "charges" in _assert_one_line_error(capsys)
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert main(["verify", "--config", str(missing)]) == 2
@@ -208,3 +223,37 @@ def test_unwritable_csv_exit_code(tmp_path, capsys):
                  "--max-v-weight", "1", "--csv", str(out)]) == 2
     assert str(out) in _assert_one_line_error(capsys)
     assert not out.exists()
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+                 | st.floats(allow_nan=False) | st.text(max_size=8))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+def test_dump_json_matches_indented_dumps(tmp_path):
+    out = tmp_path / "payload.json"
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5))
+    def check(payload):
+        assert _dump_json(payload, str(out))
+        assert out.read_text(encoding="utf-8") == \
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    check()
+    fixed = {"rows": [{"b": "\u00e9\u2603", "a": 1}, {}], "empty": [], "nest": [[], {}],
+             "text": "line\nbreak"}
+    assert _dump_json(fixed, str(out))
+    assert out.read_text(encoding="utf-8") == \
+        json.dumps(fixed, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_to_stdout(capsys):
+    payload = {"a": [1, {"b": []}], "c": "\u00fc"}
+    assert _dump_json(payload, "-")
+    assert capsys.readouterr().out == \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"

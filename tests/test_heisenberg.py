@@ -1,17 +1,31 @@
 from fractions import Fraction as Q
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voamodes import heisenberg
 from voamodes.errors import NonHomogeneous, TruncationOverflow
 from voamodes.heisenberg import (
     FockVector,
     Heisenberg,
+    _acc,
+    _add_into,
+    _expand_basis_pair,
+    _insert_part,
+    _max_part,
+    _merge_parts,
+    apply_annihilator,
     conformal_vector,
+    expand_pair,
     partitions_of,
     vacuum,
     weight_of,
     zero_vector,
 )
+from voamodes.series import gen_binomial
 
 V = Heisenberg(weight_cap=10)
 ONE = vacuum()
@@ -169,3 +183,151 @@ def test_vector_algebra():
         A1 + FockVector.basis(Q(1, 2), (1,))
     with pytest.raises(AttributeError):
         A1.terms = {}
+
+
+# -- engine oracle: the same three stages in Fraction arithmetic -------------
+
+
+def _oracle_exp_annihilation(states, lam1, top):
+    """exp(-lam1 sum_{n>0} a(n) x^-n / n) on {xoffset: terms}."""
+    for n in range(1, top + 1):
+        out = {}
+        for t, terms in states.items():
+            j = 0
+            factor = Q(1)
+            cur = terms
+            while cur:
+                _add_into(out.setdefault(t - n * j, {}), cur, factor)
+                j += 1
+                factor = factor * (-lam1) / (n * j)
+                cur = apply_annihilator(n, cur)
+        states = {t: v for t, v in out.items() if v}
+    return states
+
+
+@lru_cache(maxsize=None)
+def _oracle_dressing(pending, lam1, budget):
+    """{(xoffset, inserted partition): coeff} of the creation stage; read only."""
+    dressing = {(0, ()): Q(1)}
+    for ni in pending:
+        nxt = {}
+        for (t, ins), c in dressing.items():
+            for d in range(ni, budget - sum(ins) + 1):
+                _acc(nxt, (t + d - ni, _insert_part(ins, d)),
+                     c * gen_binomial(d - 1, ni - 1))
+        dressing = nxt
+    if lam1 != 0:
+        for n in range(1, budget + 1):
+            nxt = {}
+            for (t, ins), c in dressing.items():
+                j = 0
+                factor = Q(1)
+                cur = ins
+                while sum(cur) <= budget:
+                    _acc(nxt, (t + n * j, cur), c * factor)
+                    j += 1
+                    factor = factor * lam1 / (n * j)
+                    cur = _insert_part(cur, n)
+            dressing = nxt
+    return dressing
+
+
+def fraction_engine_oracle(nu, lam1, mu, lam2, max_level):
+    """{t: terms} of Y(a(-nu)|lam1>, x) a(-mu)|lam2>, every step a Fraction.
+
+    The engine's stages with each coefficient reduced as it is formed:
+    the exponential factors lam^j/(n^j j!) and the current binomials
+    come from gen_binomial and Fraction products, not from integer
+    numerators over a common denominator.
+    """
+    r = len(nu)
+    start = {0: {mu: Q(1)}}
+    if lam1 != 0:
+        start = _oracle_exp_annihilation(start, lam1, sum(mu))
+    by_pending = {}
+    for take in range(r + 1):
+        for right in combinations(range(r), take):
+            states = start
+            for i in right:
+                ni = nu[i]
+                nxt = {}
+                for t, terms in states.items():
+                    if lam2 != 0:
+                        _add_into(nxt.setdefault(t - ni, {}), terms,
+                                  lam2 * gen_binomial(-1, ni - 1))
+                    for k in range(1, _max_part(terms) + 1):
+                        hit = apply_annihilator(k, terms)
+                        if hit:
+                            _add_into(nxt.setdefault(t - k - ni, {}), hit,
+                                      gen_binomial(-k - 1, ni - 1))
+                states = {t: v for t, v in nxt.items() if v}
+                if not states:
+                    break
+            if not states:
+                continue
+            pending = tuple(sorted((nu[i] for i in range(r) if i not in right),
+                                   reverse=True))
+            bucket = by_pending.setdefault(pending, {})
+            for t, terms in states.items():
+                _add_into(bucket.setdefault(t, {}), terms)
+    out = {}
+    for pending, states in by_pending.items():
+        dressing = _oracle_dressing(pending, lam1, max_level)
+        for t, terms in states.items():
+            for p, c in terms.items():
+                room = max_level - sum(p)
+                for (dt, ins), dc in dressing.items():
+                    if sum(ins) <= room:
+                        _acc(out.setdefault(t + dt, {}), _merge_parts(p, ins),
+                             c * dc)
+    return {t: v for t, v in out.items() if v}
+
+
+def _assert_engine_matches_oracle(nu, lam1, mu, lam2, max_level):
+    got = _expand_basis_pair(nu, lam1, mu, lam2, max_level)
+    assert got == fraction_engine_oracle(nu, lam1, mu, lam2, max_level), \
+        (nu, lam1, mu, lam2)
+    assert all(type(c) is Q for terms in got.values() for c in terms.values())
+
+
+SMALL_NU = [p for n in range(4) for p in partitions_of(n)]
+SMALL_MU = [p for n in range(7) for p in partitions_of(n)]
+CHARGES = [Q(0), Q(1, 2), Q(-1, 2), Q(1), Q(-1)]
+
+
+@pytest.mark.parametrize("lam1", CHARGES)
+def test_engine_matches_fraction_oracle(lam1):
+    for lam2 in CHARGES:
+        for nu in SMALL_NU:
+            for mu in SMALL_MU:
+                _assert_engine_matches_oracle(nu, lam1, mu, lam2, 8)
+
+
+def _thirds_and_quarters():
+    return st.builds(Q, st.integers(-7, 7).filter(bool), st.sampled_from([3, 4]))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(SMALL_NU), _thirds_and_quarters(),
+       st.sampled_from([p for n in range(6) for p in partitions_of(n)]),
+       _thirds_and_quarters())
+def test_engine_matches_oracle_at_thirds_and_quarters(nu, lam1, mu, lam2):
+    _assert_engine_matches_oracle(nu, lam1, mu, lam2, 8)
+
+
+def test_expansions_independent_of_cache_state_and_order():
+    pairs = [((2, 1), Q(1, 2), (3, 1), Q(-1)), ((1,), Q(-1, 3), (2, 2), Q(3, 4)),
+             ((3,), Q(0), (1, 1), Q(1, 2)), ((1, 1), Q(1), (), Q(0))]
+    levels = range(0, 10)
+
+    def sweep(order):
+        heisenberg._EXPAND_CACHE.clear()
+        heisenberg._DRESSING_CACHE.clear()
+        return {(i, lev): expand_pair(nu, lam1, mu, lam2, sum(nu) + sum(mu) + lev)
+                for lev in order for i, (nu, lam1, mu, lam2) in enumerate(pairs)}
+
+    ascending = sweep(levels)
+    descending = sweep(reversed(levels))
+    assert ascending == descending
+    for (i, lev), got in ascending.items():
+        assert max(got, default=-1) <= lev

@@ -354,6 +354,7 @@ def _clear_caches():
     matrices._left_entry_cached.cache_clear()
     matrices._right_entry_cached.cache_clear()
     matrices._conjugated_series.cache_clear()
+    matrices._right_op_series.cache_clear()
     matrices._residue_weights.cache_clear()
 
 
@@ -378,7 +379,7 @@ def test_results_are_canonical_and_own_their_terms():
     from hypothesis import strategies as st
 
     from voamodes.heisenberg import sugawara_l
-    from voamodes.matrices import _conjugated_series
+    from voamodes.matrices import _conjugated_series, _right_op_series
 
     M = FockModule(Q(1, 2), level_cap=20)
     Y = fock_intertwiner(Q(1, 2), Q(1), level_cap=20)
@@ -399,7 +400,8 @@ def test_results_are_canonical_and_own_their_terms():
             series = _conjugated_series(w, v, kk + ll).values()
             _assert_canonical(right_entry(w, v, kk, nn, ll), series)
         for form in ("direct", "right-op"):
-            series = _conjugated_series(w, v, k + l).values()
+            series = [*_conjugated_series(w, v, k + l).values(),
+                      *_right_op_series(w, v, k + l).values()]
             _assert_canonical(right_entry(w, v, k, n, l, form), series)
 
     check()
