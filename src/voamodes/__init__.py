@@ -36,14 +36,12 @@ from .heisenberg import (
 from .fock import (
     FockIntertwiner,
     FockModule,
-    fock_intertwiner,
     right_vertex_op,
 )
 from .matrices import (
     IndexedMatrix,
     ProbeFamily,
-    diamond_vv,
-    diamond_vw,
+    diamond_left,
     diamond_wv,
     identity_n,
     jacobi_kernel_element,
@@ -57,10 +55,7 @@ from .correspondence import (
     certify_jacobi,
     certify_l1_derivative,
     reachability_closure,
-    rho,
-    rho_n,
     roundtrip,
     yf_series,
-    yf_zero_mode,
 )
 from .suites import RunConfig, SuiteReport, run_suites

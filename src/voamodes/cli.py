@@ -16,9 +16,9 @@ import sys
 from dataclasses import replace as _dc_replace
 from itertools import repeat
 
-from .correspondence import rho_n
+from .correspondence import MapTable
 from .errors import TruncationOverflow
-from .fock import FockModule, fock_intertwiner
+from .fock import FockIntertwiner, FockModule
 from .heisenberg import FockVector, Heisenberg
 from .matrices import left_entry, right_entry
 from .series import rat, rat_str
@@ -310,8 +310,8 @@ def cmd_intertwiner(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        Y = fock_intertwiner(lam1, lam2, cfg.l_max)
-        table = rho_n(Y, cfg.n, w1_levels=cfg.l_max)
+        Y = FockIntertwiner(lam1, lam2, cfg.l_max)
+        table = MapTable.from_intertwiner(Y, cfg.n, cfg.l_max)
     except TruncationOverflow as exc:
         print(f"truncation overflow: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION

@@ -2,12 +2,12 @@
 
 A map table is the finite data of a module map out of the tensor
 product: its values on generators [w1]_{kl} (x) w2 with w2 of level l.
-`rho` fills a table from an intertwiner by evaluating theta; the inverse
-direction reads the table entries as the zero-log modes of a
-reconstructed operator and assembles its series.  Certification checks
-the residue-level Jacobi identity and the L(-1)-derivative property of
-the reconstruction directly on the table, and the round trip lands back
-on the table entry by entry.
+`MapTable.from_intertwiner` fills a table from an intertwiner by
+evaluating theta; the inverse direction reads the table entries as the
+zero-log modes of a reconstructed operator and assembles its series.
+Certification checks the residue-level Jacobi identity and the
+L(-1)-derivative property of the reconstruction directly on the table,
+and the round trip lands back on the table entry by entry.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import OutOfTable
 from .fock import FockIntertwiner, FockModule
-from .heisenberg import FockVector, partitions_of, weight_of, zero_vector
+from .heisenberg import FockVector, partitions_of, sugawara_l, weight_of, zero_vector
 from .series import LogLaurent, gen_binomial, rat, rat_str
 
 Q = Fraction
@@ -121,35 +121,13 @@ class MapTable:
     def sorted_keys(self):
         return sorted(self.entries)
 
-    def mode_index(self, k: int, l: int, wt1) -> Fraction:
-        """The zero-log mode index attached to slot (k, l) and weight wt1."""
-        return self.right_input.h - self.target.h + l - k + rat(wt1) - 1
-
     def __repr__(self):
         return (f"MapTable({rat_str(self.lam1)},{rat_str(self.lam2)}; "
                 f"kmax={self.kmax}, {len(self.entries)} entries)")
 
 
-def rho(Y: FockIntertwiner, kmax: int, w1_levels: int) -> MapTable:
-    """The module map induced by an intertwiner, tabulated on generators."""
-    return MapTable.from_intertwiner(Y, kmax, w1_levels)
-
-
-def rho_n(Y: FockIntertwiner, n: int, w1_levels: int | None = None) -> MapTable:
-    """Restriction to the (N+1) x (N+1) grid with inputs of level <= N."""
-    if w1_levels is None:
-        w1_levels = Y.level_cap
-    return MapTable.from_intertwiner(Y, n, w1_levels)
-
-
 # ---------------------------------------------------------------------------
 # the reconstructed operator
-
-
-def yf_zero_mode(f: MapTable, k: int, l: int, w1: FockVector,
-                 w2: FockVector) -> FockVector:
-    """Table value read as the zero-log mode at index mode_index(k,l,wt w1)."""
-    return f.value(k, l, w1, w2)
 
 
 def yf_series(f: MapTable, w1: FockVector, w2: FockVector,
@@ -165,8 +143,8 @@ def yf_series(f: MapTable, w1: FockVector, w2: FockVector,
     lo = None if lo is None else rat(lo)
     hi = None if hi is None else rat(hi)
     out: dict = {}
-    for a in sorted({sum(nu) for nu in w1.terms}):
-        w1_a = FockVector(f.lam1, {p: c for p, c in w1.terms.items() if sum(p) == a})
+    for a in w1.levels():
+        w1_a = w1.level_component(a)
         wt1 = f.source.h + a
         for l in w2.levels():
             w2_l = w2.level_component(l)
@@ -184,47 +162,6 @@ def yf_series(f: MapTable, w1: FockVector, w2: FockVector,
                 key = (e, 0)
                 out[key] = out[key] + val if key in out else val
     return LogLaurent(out)
-
-
-def log_dress(series: LogLaurent, nilpotent, max_power: int) -> LogLaurent:
-    """Apply x^N for a nilpotent operator N: each term picks up log-powers.
-
-    x^N = sum_j N^j (log x)^j / j!; `nilpotent` maps coefficients to
-    coefficients and must eventually annihilate.  With the zero operator
-    this is the identity, which is the shipped situation; the general
-    path exists for gradings with a nilpotent part of L(0).
-    """
-    from math import factorial
-
-    out: dict = {}
-    for (e, logp), coeff in series.terms.items():
-        cur = coeff
-        j = 0
-        while j <= max_power:
-            if not _coeff_is_zero(cur):
-                key = (e, logp + j)
-                piece = _coeff_scale(cur, Q(1, factorial(j)))
-                if key in out:
-                    out[key] = out[key] + piece
-                else:
-                    out[key] = piece
-            j += 1
-            cur = nilpotent(cur)
-            if _coeff_is_zero(cur):
-                break
-    return LogLaurent(out)
-
-
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return c.is_zero()
-
-
-def _coeff_scale(c, s: Fraction):
-    if isinstance(c, (int, Fraction)):
-        return c * s
-    return c.scale(s)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +275,7 @@ def certify_l1_derivative(f: MapTable, w1_list, w2_levels: int) -> CertReport:
     for w1 in w1_list:
         lev1 = w1.level()
         wt1 = f.source.h + lev1
-        lw1 = f.source.lm1(w1)
+        lw1 = sugawara_l(-1, w1)
         for l in range(min(w2_levels, f.kmax) + 1):
             for w2 in f.right_input.basis(l):
                 for k in range(f.kmax + 1):
@@ -353,7 +290,7 @@ def certify_l1_derivative(f: MapTable, w1_list, w2_levels: int) -> CertReport:
 
 
 def roundtrip(f: MapTable) -> CertReport:
-    """Entry-exact comparison of the table with rho of its reconstruction.
+    """Entry-exact comparison of the table with the map of its reconstruction.
 
     The evaluation map of the reconstructed operator extracts, per slot,
     the series coefficient at the slot's exponent; the report certifies
@@ -432,7 +369,6 @@ def reachability_closure(module: FockModule, n: int, generators,
         for w in frontier:
             l = w.level()
             for v in generators:
-                hv = int(weight_of(v))
                 for k in range(cap + 1):
                     image = theta(k, l, v, w)
                     if image.is_zero():

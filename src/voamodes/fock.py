@@ -32,7 +32,6 @@ from .heisenberg import (
     expand_pair,
     partitions_of,
     sugawara_l,
-    weight_of,
     zero_vector,
 )
 from .series import LogLaurent, rat, rat_str
@@ -70,11 +69,6 @@ class FockModule:
         self.lam = rat(lam)
         self.level_cap = int(level_cap)
         self.h = self.lam * self.lam / 2
-        self.class_tag = self.h - (self.h.__floor__())
-
-    def classes(self):
-        """Congruence classes of weights: a single class for a Fock module."""
-        return [(self.class_tag, self.h)]
 
     def highest(self) -> FockVector:
         return FockVector(self.lam, {(): Q(1)})
@@ -90,9 +84,6 @@ class FockModule:
         if n > self.level_cap:
             raise TruncationOverflow(f"level {n} above cap {self.level_cap}")
         return [v for m in range(n + 1) for v in self.basis(m)]
-
-    def weight(self, w: FockVector) -> Fraction:
-        return weight_of(w)
 
     # -- module vertex operator modes ---------------------------------------
 
@@ -120,19 +111,6 @@ class FockModule:
                     _add_into(out, got, cv * cw)
         return _trusted_vector(self.lam, out)
 
-    def l0(self, w: FockVector) -> FockVector:
-        out: dict = {}
-        h = self.h
-        for p, c in w.terms.items():
-            out[p] = c * (h + sum(p))
-        return FockVector(self.lam, out)
-
-    def lm1(self, w: FockVector) -> FockVector:
-        return sugawara_l(-1, w)
-
-    def l1(self, w: FockVector) -> FockVector:
-        return sugawara_l(1, w)
-
     # -- evaluation map of matrices over the algebra ------------------------
 
     def theta(self, k: int, l: int, v: FockVector, w: FockVector) -> FockVector:
@@ -143,9 +121,8 @@ class FockModule:
         if w_l.is_zero():
             return self.zero()
         out = self.zero()
-        for h in sorted({sum(nu) for nu in v.terms}):
-            v_h = FockVector(0, {p: c for p, c in v.terms.items() if sum(p) == h})
-            out = out + self.mode(v_h, h + l - k - 1, w_l)
+        for h in v.levels():
+            out = out + self.mode(v.level_component(h), h + l - k - 1, w_l)
         return out
 
     # -- contragredient module ----------------------------------------------
@@ -174,8 +151,8 @@ class FockModule:
             return self.zero()
         n = int(n_index)
         out = self.zero()
-        for h in sorted({sum(nu) for nu in v.terms}):
-            v_h = FockVector(0, {p: c for p, c in v.terms.items() if sum(p) == h})
+        for h in v.levels():
+            v_h = v.level_component(h)
             sign = Q(-1) if h % 2 else Q(1)
             for lev_p in wprime.levels():
                 wp = wprime.level_component(lev_p)
@@ -210,9 +187,8 @@ class FockModule:
         if wp.is_zero():
             return self.zero()
         out = self.zero()
-        for h in sorted({sum(nu) for nu in v.terms}):
-            v_h = FockVector(0, {p: c for p, c in v.terms.items() if sum(p) == h})
-            out = out + self.dual_mode(v_h, h + l - k - 1, wp)
+        for h in v.levels():
+            out = out + self.dual_mode(v.level_component(h), h + l - k - 1, wp)
         return out
 
     def __repr__(self):
@@ -237,7 +213,6 @@ class FockIntertwiner:
         self.level_cap = int(level_cap)
         self.scale = rat(scale)
         self.source = FockModule(self.lam1, level_cap)
-        self.left_input = self.source
         self.right_input = FockModule(self.lam2, level_cap)
         self.target = FockModule(self.lam3, level_cap)
         self.base_exponent = self.lam1 * self.lam2
@@ -248,6 +223,8 @@ class FockIntertwiner:
 
     def mode(self, k: int, m, w1: FockVector, w2: FockVector) -> FockVector:
         """The log-index-k mode Y_{m,k}(w1) w2 (weight wt w1 + wt w2 - m - 1)."""
+        if w1.charge != self.lam1 or w2.charge != self.lam2:
+            raise ValueError("intertwiner modes take (source, right input) vectors")
         if k > self.log_order:
             raise LogOrderExceeded(f"log index {k} > declared order {self.log_order}")
         if k >= 1:
@@ -298,8 +275,8 @@ class FockIntertwiner:
     def theta(self, k: int, l: int, w1: FockVector, w2: FockVector) -> FockVector:
         """Evaluation of [w1]_{kl}: kills w2 off level l, lands in level k.
 
-        Extracts, for each congruence class of the target, the residue of
-        x^(h2 - h3 + l - k - 1) Y(x^{L(0)} w1, x) w2 at log-power zero.
+        Extracts the residue of x^(h2 - h3 + l - k - 1) Y(x^{L(0)} w1, x) w2
+        at log-power zero; the target is a single congruence class.
         """
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
@@ -307,23 +284,14 @@ class FockIntertwiner:
         if w2_l.is_zero():
             return self.target.zero()
         out = self.target.zero()
-        h2 = self.right_input.h
-        for _tag, h3 in self.target.classes():
-            for a in sorted({sum(nu) for nu in w1.terms}):
-                w1_a = FockVector(self.lam1,
-                                  {p: c for p, c in w1.terms.items() if sum(p) == a})
-                wt1 = self.source.h + a
-                m = h2 - h3 + l - k + wt1 - 1
-                out = out + self.mode(0, m, w1_a, w2_l)
+        shift = self.h_shift() + self.source.h + l - k - 1
+        for a in w1.levels():
+            out = out + self.mode(0, shift + a, w1.level_component(a), w2_l)
         return out
 
     def __repr__(self):
         return (f"FockIntertwiner({rat_str(self.lam1)}, {rat_str(self.lam2)}; "
                 f"cap={self.level_cap})")
-
-
-def fock_intertwiner(lam1, lam2, level_cap: int = 6) -> FockIntertwiner:
-    return FockIntertwiner(lam1, lam2, level_cap)
 
 
 def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,

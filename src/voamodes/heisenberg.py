@@ -524,9 +524,6 @@ class Heisenberg:
                     _add_into(out, got, cv * cu)
         return FockVector(0, out)
 
-    def weight(self, v: FockVector) -> Fraction:
-        return weight_of(v)
-
     def l0(self, v: FockVector) -> FockVector:
         return self.mode(conformal_vector(), 1, v)
 

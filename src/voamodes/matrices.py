@@ -233,9 +233,8 @@ def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
     """
     t_hi = k + l
     acc = LogLaurent()
-    for h in sorted({sum(nu) for nu in v.terms}):
-        v_h = FockVector(0, {p: c for p, c in v.terms.items() if sum(p) == h})
-        for t, terms in _wv_modes(w, v_h, t_hi).items():
+    for h in v.levels():
+        for t, terms in _wv_modes(w, v.level_component(h), t_hi).items():
             # (1+x)^{-h} * z^t = (-1)^t x^t (1+x)^{-t-h}
             sign = Q(-1) if t % 2 else Q(1)
             vec = FockVector(w.charge, terms).scale(sign)
@@ -271,8 +270,7 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     """
     charge = w.charge
     scratch = FockModule(charge, level_cap=10 ** 9)
-    lowest = -(max(w.levels(), default=0)
-               + max((sum(nu) for nu in v.terms), default=0) + 1)
+    lowest = -(max(w.levels(), default=0) + max(v.levels(), default=0) + 1)
     # (1+x)^{L(0)} w as a series of vectors (rational binomials per level)
     dressed: dict = {}
     for lev in w.levels():
@@ -316,6 +314,8 @@ def right_entry(w: FockVector, v: FockVector, k: int, n: int, l: int,
                 form: str = "conjugated") -> FockVector:
     if form not in ("conjugated", "direct", "right-op"):
         raise ValueError(f"unknown right-action form {form!r}")
+    if v.charge != 0:
+        raise ValueError("right factor must be an algebra vector")
     return _right_entry_cached(w, v, k, n, l, form)
 
 
@@ -337,14 +337,6 @@ def diamond_left(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
                 key = (k, l)
                 out[key] = out[key] + piece if key in out else piece
     return IndexedMatrix(b.charge, out)
-
-
-def diamond_vv(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
-    return diamond_left(a, b)
-
-
-def diamond_vw(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
-    return diamond_left(a, b)
 
 
 def diamond_wv(a: IndexedMatrix, b: IndexedMatrix,
@@ -369,8 +361,7 @@ def diamond_wv(a: IndexedMatrix, b: IndexedMatrix,
 
 
 def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
-                          v: FockVector, w: FockVector,
-                          form: str = "conjugated") -> IndexedMatrix:
+                          v: FockVector, w: FockVector) -> IndexedMatrix:
     """The three-sum combination sitting in every evaluation kernel.
 
     For homogeneous v and p with l+p >= 0:
@@ -405,7 +396,7 @@ def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
         if c != 0:
             q = l - n + k + p - j
             sign = Q(-1) if (p - j) % 2 else Q(1)
-            acc = acc - right_entry(w, v, k, q, l + p, form=form).scale(sign * c)
+            acc = acc - right_entry(w, v, k, q, l + p).scale(sign * c)
         j += 1
 
     top = max(w.levels(), default=0) + hv - 1 - p

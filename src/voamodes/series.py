@@ -206,23 +206,6 @@ def truncated_taylor(alpha: int, order: int) -> LogLaurent:
     return LogLaurent(out)
 
 
-def taylor_bound_variants(alpha: int, order: int, alt_top: int):
-    """Diagnostic: the order-based truncation vs an explicit top index.
-
-    Returns (order_rule, alt_rule, agree).  The alternative keeps
-    m = 0..alt_top regardless of `order`; useful for comparing the two
-    inner-sum bounds that appear in the matrix-product literature.
-    """
-    order_rule = truncated_taylor(alpha, order)
-    out = {}
-    for m in range(0, alt_top + 1):
-        c = gen_binomial(alpha, m)
-        if c != 0:
-            out[(Q(alpha - m), 0)] = c
-    alt_rule = LogLaurent(out)
-    return order_rule, alt_rule, order_rule == alt_rule
-
-
 def binom_series(alpha, maxdeg: int) -> LogLaurent:
     """(1+x)^alpha as a power series in x, truncated at degree maxdeg.
 

@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .correspondence import (
+    MapTable,
     certify_jacobi,
     certify_l1_derivative,
     reachability_closure,
-    rho,
     roundtrip,
     yf_series,
 )
 from .errors import TruncationOverflow
-from .fock import FockIntertwiner, FockModule, fock_intertwiner
+from .fock import FockIntertwiner, FockModule
 from .heisenberg import (
     Heisenberg,
     conformal_vector,
@@ -34,8 +34,7 @@ from .heisenberg import (
 from .matrices import (
     IndexedMatrix,
     ProbeFamily,
-    diamond_vv,
-    diamond_vw,
+    diamond_left,
     diamond_wv,
     identity_n,
     jacobi_kernel_element,
@@ -172,7 +171,7 @@ class RunContext:
     def intertwiner(self, lam1, lam2) -> FockIntertwiner:
         key = (rat(lam1), rat(lam2))
         if key not in self._intertwiners:
-            self._intertwiners[key] = fock_intertwiner(*key, self.cfg.l_max)
+            self._intertwiners[key] = FockIntertwiner(*key, self.cfg.l_max)
         return self._intertwiners[key]
 
     def cert_table(self):
@@ -185,7 +184,7 @@ class RunContext:
                 raise TruncationOverflow(
                     "certification grid needs levels beyond L_max")
             Y = self.intertwiner(Q(1, 2), Q(1, 2))
-            self._tables[key] = rho(Y, kmax=kmax, w1_levels=cfg.l_max)
+            self._tables[key] = MapTable.from_intertwiner(Y, kmax, cfg.l_max)
         return self._tables[key]
 
     def module_probes(self, max_level=None) -> ProbeFamily:
@@ -230,8 +229,8 @@ def suite_homomorphism(ctx: RunContext) -> SuiteReport:
                                  rng.randrange(cfg.n + 1))
         c = IndexedMatrix.single(rng.choice(ctx.v_basis), rng.randrange(cfg.n + 1),
                                  rng.randrange(cfg.n + 1))
-        lhs = diamond_vv(diamond_vv(a, b), c)
-        rhs = diamond_vv(a, diamond_vv(b, c))
+        lhs = diamond_left(diamond_left(a, b), c)
+        rhs = diamond_left(a, diamond_left(b, c))
         rep.record(probe_equal(lhs, rhs, probes),
                    lambda: _render("associativity", dict(a=a, b=b, c=c), lhs, rhs))
     return rep
@@ -271,8 +270,8 @@ def suite_unit(ctx: RunContext) -> SuiteReport:
     for _ in range(10):
         a = IndexedMatrix.single(rng.choice(ctx.v_basis),
                                  rng.randrange(cfg.n + 1), rng.randrange(cfg.n + 1))
-        left = diamond_vv(ident, a)
-        right = diamond_vv(a, ident)
+        left = diamond_left(ident, a)
+        right = diamond_left(a, ident)
         ok = probe_equal(left, a, probes) and probe_equal(right, a, probes)
         rep.record(ok, lambda: _render("unit element", dict(a=a), left, right))
     # the module action, read as an intertwiner, evaluates like the module
@@ -402,7 +401,7 @@ def suite_omega_commutators(ctx: RunContext) -> SuiteReport:
                     km = jacobi_kernel_element(M, n, l, n, 0, om, w)
                     direct = (left_entry(om, w, n, n, l)
                               - right_entry(w, om, n, l, l)
-                              - (sugawara_l(-1, w) + M.l0(w)))
+                              - (sugawara_l(-1, w) + l_zero(w)))
                     rep.record(km.entry(n, l) == direct, lambda: _render(
                         "omega diagonal", dict(module=M, n=n, l=l, w=w),
                         km.entry(n, l), direct))
@@ -429,8 +428,8 @@ def suite_omega_commutators(ctx: RunContext) -> SuiteReport:
             for l in range(cfg.n + 1):
                 for w in M.basis(min(l, cfg.n)):
                     wm = IndexedMatrix.single(w, k, l)
-                    a = diamond_vw(IndexedMatrix.single(om, k, k), wm)
-                    b = diamond_vw(omega0_n(cfg.n + 1), wm)
+                    a = diamond_left(IndexedMatrix.single(om, k, k), wm)
+                    b = diamond_left(omega0_n(cfg.n + 1), wm)
                     rep.record(a == b, lambda: _render(
                         "omega0 band", dict(module=M, k=k, l=l, w=w), a, b))
                     a = diamond_wv(wm, IndexedMatrix.single(om, l, l))
@@ -528,7 +527,7 @@ def suite_roundtrip(ctx: RunContext) -> SuiteReport:
     cfg = ctx.cfg
     rep = SuiteReport("roundtrip")
     Y = ctx.intertwiner(Q(1, 2), Q(1, 2))
-    f = rho(Y, kmax=cfg.n, w1_levels=min(cfg.l_max, cfg.n + 2))
+    f = MapTable.from_intertwiner(Y, cfg.n, min(cfg.l_max, cfg.n + 2))
     rep.absorb(roundtrip(f))
     # the reconstructed series matches the operator's own expansion
     shift = Y.target.h - Y.right_input.h
@@ -608,8 +607,8 @@ def suite_opposite(ctx: RunContext) -> SuiteReport:
         k, n, l = (rng.randrange(cfg.n + 1) for _ in range(3))
         a = IndexedMatrix.single(u, k, n)
         b = IndexedMatrix.single(v, n, l)
-        lhs = opposite_map(diamond_vv(a, b), sign)
-        rhs = diamond_vv(opposite_map(b, sign), opposite_map(a, sign))
+        lhs = opposite_map(diamond_left(a, b), sign)
+        rhs = diamond_left(opposite_map(b, sign), opposite_map(a, sign))
         rep.record(probe_equal(lhs, rhs, probes), lambda: _render(
             "anti-homomorphism", dict(u=u, v=v, k=k, n=n, l=l, sign=sign),
             lhs, rhs))

@@ -15,12 +15,12 @@ import pytest
 
 from voamodes.cli import main
 from voamodes.correspondence import (
+    MapTable,
     certify_jacobi,
     certify_l1_derivative,
-    rho,
     yf_series,
 )
-from voamodes.fock import fock_intertwiner
+from voamodes.fock import FockIntertwiner
 from voamodes.heisenberg import FockVector, conformal_vector, vacuum
 from voamodes.suites import RunConfig, run_suites
 
@@ -91,8 +91,8 @@ def test_criterion_07_roundtrip_and_certification(reports):
     l1 = reports["L1-cert"]
     ok = rt.ok and jac.ok and l1.ok
     # direct corruption sensitivity on a compact table
-    Y = fock_intertwiner(Q(1, 2), Q(1, 2), level_cap=6)
-    f = rho(Y, kmax=6, w1_levels=4)
+    Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=6)
+    f = MapTable.from_intertwiner(Y, 6, 4)
     bad = f.perturbed((0, 0, (), ()), f.target.highest())
     vs = [vacuum(), FockVector.basis(0, (1,)), conformal_vector()]
     w1s = f.source.omega0_basis(1)
@@ -108,8 +108,8 @@ def test_criterion_07_roundtrip_and_certification(reports):
 
 def test_criterion_08_injectivity_witnesses(reports):
     reach = reports["reachability"]
-    Y = fock_intertwiner(Q(1, 2), Q(1, 2), level_cap=6)
-    f = rho(Y, kmax=2, w1_levels=2)
+    Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=6)
+    f = MapTable.from_intertwiner(Y, 2, 2)
     nonzero = not f.is_zero()
     zero = f.zeros_like()
     all_zero = all(

@@ -3,18 +3,15 @@ from fractions import Fraction as Q
 import pytest
 
 from voamodes.correspondence import (
+    MapTable,
     certify_jacobi,
     certify_l1_derivative,
-    log_dress,
     reachability_closure,
-    rho,
-    rho_n,
     roundtrip,
     yf_series,
-    yf_zero_mode,
 )
 from voamodes.errors import OutOfTable
-from voamodes.fock import FockModule, fock_intertwiner
+from voamodes.fock import FockIntertwiner, FockModule
 from voamodes.heisenberg import (
     FockVector,
     Heisenberg,
@@ -22,7 +19,6 @@ from voamodes.heisenberg import (
     vacuum,
     weight_of,
 )
-from voamodes.series import LogLaurent
 
 ONE = vacuum()
 OM = conformal_vector()
@@ -31,14 +27,14 @@ A1 = FockVector.basis(0, (1,))
 
 @pytest.fixture(scope="module")
 def Y():
-    return fock_intertwiner(Q(1, 2), Q(1, 2), level_cap=8)
+    return FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=8)
 
 
 @pytest.fixture(scope="module")
 def table(Y):
     # indices to 2N + p_hi = 6, first-slot levels to 6: the certification
     # grids at N = 2 with p in [-2, 2] look up indices that far out
-    return rho(Y, kmax=6, w1_levels=6)
+    return MapTable.from_intertwiner(Y, 6, 6)
 
 
 def test_rho_entries(table, Y):
@@ -51,12 +47,12 @@ def test_rho_entries(table, Y):
     assert not table.is_zero()
 
 
-def test_rho_n_restriction(table, Y):
-    small = rho_n(Y, 2, w1_levels=6)
+def test_table_restriction(table, Y):
+    small = MapTable.from_intertwiner(Y, 2, 6)
     assert small.kmax == 2
     for key, vec in small.entries.items():
         assert table.entries[key] == vec
-    tiny = rho_n(Y, 0, w1_levels=2)
+    tiny = MapTable.from_intertwiner(Y, 0, 2)
     assert all(k == 0 and l == 0 for (k, l, _, _) in tiny.entries)
     assert not tiny.is_zero()
 
@@ -77,15 +73,12 @@ def test_value_lookup_rules(table, Y):
     assert got == want
 
 
-def test_yf_zero_mode(table, Y):
+def test_table_value_is_theta(table, Y):
     hw1, hw2 = Y.source.highest(), Y.right_input.highest()
-    assert yf_zero_mode(table, 0, 0, hw1, hw2) == Y.theta(0, 0, hw1, hw2)
-    assert yf_zero_mode(table, 2, 0, hw1, hw2).levels() in ([], [2])
+    assert table.value(0, 0, hw1, hw2) == Y.theta(0, 0, hw1, hw2)
+    assert table.value(2, 0, hw1, hw2).levels() in ([], [2])
     zero = table.zeros_like()
-    assert yf_zero_mode(zero, 1, 1, hw1, Y.right_input.basis(1)[0]).is_zero()
-    # mode index bookkeeping
-    assert table.mode_index(0, 0, Y.source.h) == Y.right_input.h - Y.target.h \
-        + Y.source.h - 1
+    assert zero.value(1, 1, hw1, Y.right_input.basis(1)[0]).is_zero()
 
 
 def test_yf_series_matches_operator(table, Y):
@@ -107,8 +100,8 @@ def test_yf_series_matches_operator(table, Y):
 
 
 def test_yf_series_zero_charge_is_module_action(Y):
-    Y0 = fock_intertwiner(0, Q(1, 2), level_cap=8)
-    f0 = rho(Y0, kmax=3, w1_levels=3)
+    Y0 = FockIntertwiner(0, Q(1, 2), level_cap=8)
+    f0 = MapTable.from_intertwiner(Y0, 3, 3)
     M = FockModule(Q(1, 2), level_cap=8)
     w2 = M.basis(1)[0]
     ser = yf_series(f0, ONE, w2)
@@ -138,10 +131,10 @@ def test_roundtrip(table):
 
 
 def test_table_linearity(table, Y):
-    # rho(c Y) = c rho(Y)
-    Yc = fock_intertwiner(Q(1, 2), Q(1, 2), level_cap=8)
+    # the table of c Y is c times the table of Y
+    Yc = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=8)
     Yc.scale = Q(5, 7)
-    fc = rho(Yc, kmax=2, w1_levels=2)
+    fc = MapTable.from_intertwiner(Yc, 2, 2)
     for key, vec in fc.entries.items():
         assert vec == table.entries[key].scale(Q(5, 7))
     # tables add entrywise
@@ -223,20 +216,3 @@ def test_reachability(table):
     M = FockModule(Q(1, 2), level_cap=6)
     rep = reachability_closure(M, 2, [ONE])
     assert not rep.ok
-
-
-def test_log_dress_toy():
-    # a nilpotent "grading defect" on a two-step space: N(a*[] + b*[1]) = b*[]
-    def nil(vec):
-        b = vec.terms.get((1,), Q(0))
-        return FockVector(0, {(): b})
-
-    base = FockVector(0, {(): Q(2), (1,): Q(3)})
-    ser = LogLaurent({(Q(1, 2), 0): base})
-    dressed = log_dress(ser, nil, max_power=4)
-    assert dressed.coeff(Q(1, 2), 0) == base
-    assert dressed.coeff(Q(1, 2), 1) == FockVector(0, {(): Q(3)})
-    assert dressed.coeff(Q(1, 2), 2) is None
-    # the zero operator dresses trivially
-    dressed = log_dress(ser, lambda v: v.scale(0), max_power=4)
-    assert dressed == ser

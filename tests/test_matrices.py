@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from voamodes.fock import FockModule, fock_intertwiner
+from voamodes.fock import FockIntertwiner, FockModule
 from voamodes.heisenberg import (
     FockVector,
     Heisenberg,
@@ -14,7 +14,7 @@ from voamodes.heisenberg import (
 from voamodes.matrices import (
     IndexedMatrix,
     ProbeFamily,
-    diamond_vv,
+    diamond_left,
     diamond_wv,
     identity_n,
     jacobi_kernel_element,
@@ -68,10 +68,10 @@ def test_unit_entry():
 def test_index_mismatch_is_zero():
     a = IndexedMatrix.single(ONE, 0, 1)
     b = IndexedMatrix.single(A1, 0, 1)
-    assert diamond_vv(a, b).is_zero()
+    assert diamond_left(a, b).is_zero()
     # matching index but vanishing residue: [1]_{01}.[v]_{10} at (0,0)
     c = IndexedMatrix.single(A1, 1, 0)
-    got = diamond_vv(a, c)
+    got = diamond_left(a, c)
     assert got.is_zero()
 
 
@@ -97,7 +97,7 @@ def test_general_matrix_product():
     # two-entry matrices multiply through the shared middle index
     a = IndexedMatrix(0, {(0, 1): A1, (1, 1): OM})
     b = IndexedMatrix(0, {(1, 0): A1, (1, 2): ONE})
-    prod = diamond_vv(a, b)
+    prod = diamond_left(a, b)
     assert set(prod.entries) <= {(0, 0), (0, 2), (1, 0), (1, 2)}
     assert prod.entry(0, 0) == left_entry(A1, A1, 0, 1, 0)
     assert prod.entry(1, 2) == left_entry(OM, ONE, 1, 1, 2)
@@ -137,7 +137,7 @@ def test_three_forms_agree():
 
 def test_kernel_elements_nonzero_but_annihilated():
     W1 = FockModule(Q(1, 2), level_cap=14)
-    Y = fock_intertwiner(Q(1, 2), Q(1, 2), level_cap=14)
+    Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=14)
     # this grid point produces a genuinely nonzero matrix
     km = jacobi_kernel_element(W1, 0, 2, 0, -2, A1, W1.highest())
     assert not km.is_zero()
@@ -148,7 +148,7 @@ def test_kernel_elements_nonzero_but_annihilated():
 
 def test_kernel_element_grid():
     W1 = FockModule(Q(1), level_cap=14)
-    Y = fock_intertwiner(Q(1), Q(-1, 2), level_cap=14)
+    Y = FockIntertwiner(Q(1), Q(-1, 2), level_cap=14)
     vs = [ONE, A1, OM]
     for k in range(2):
         for l in range(2):
@@ -176,7 +176,7 @@ def test_kernel_element_precondition():
 
 def test_omega_specializations():
     # diagonal and subdiagonal kernel elements match their displayed forms
-    from voamodes.heisenberg import sugawara_l
+    from voamodes.heisenberg import l_zero, sugawara_l
 
     M = FockModule(Q(1), level_cap=8)
     for n in range(2):
@@ -185,7 +185,7 @@ def test_omega_specializations():
                 km = jacobi_kernel_element(M, n, l, n, 0, OM, w)
                 direct = (left_entry(OM, w, n, n, l)
                           - right_entry(w, OM, n, l, l)
-                          - (sugawara_l(-1, w) + M.l0(w)))
+                          - (sugawara_l(-1, w) + l_zero(w)))
                 assert km.entry(n, l) == direct
                 km = jacobi_kernel_element(M, n + 1, l, n, 0, OM, w)
                 direct = (left_entry(OM, w, n + 1, n, l)
@@ -232,8 +232,8 @@ def test_opposite_anti_homomorphism():
     for _ in range(30):
         a = IndexedMatrix.single(rng.choice(vs), rng.randrange(3), rng.randrange(3))
         b = IndexedMatrix.single(rng.choice(vs), rng.randrange(3), rng.randrange(3))
-        lhs = opposite_map(diamond_vv(a, b), "plus")
-        rhs = diamond_vv(opposite_map(b, "plus"), opposite_map(a, "plus"))
+        lhs = opposite_map(diamond_left(a, b), "plus")
+        rhs = diamond_left(opposite_map(b, "plus"), opposite_map(a, "plus"))
         assert probe_equal(lhs, rhs, probes)
 
 
@@ -333,6 +333,12 @@ def test_theta_linearity():
     from hypothesis import given, settings
 
     M = FockModule(Q(1), level_cap=8)
+    Y = FockIntertwiner(Q(1, 2), Q(1), level_cap=8)
+    # first-slot summands at different levels: levels 1 and 2 in the
+    # algebra, levels 0 and 2 in the intertwiner's source
+    v1, v2 = A1.scale(3), FockVector(0, {(2,): Q(1, 2), (1, 1): Q(-1)})
+    u1 = FockVector.basis(Q(1, 2), ())
+    u2 = FockVector(Q(1, 2), {(2,): Q(1, 3), (1, 1): Q(2)})
 
     @settings(deadline=None, max_examples=25)
     @given(_vector_strategy(0), _vector_strategy(Q(1)), _vector_strategy(Q(1)))
@@ -341,8 +347,35 @@ def test_theta_linearity():
         assert M.theta(k, l, v, w1 + w2) == \
             M.theta(k, l, v, w1) + M.theta(k, l, v, w2)
         assert M.theta(k, l, v, w1.scale(-5)) == M.theta(k, l, v, w1).scale(-5)
+        for theta in (M.theta, M.theta_dual):
+            assert theta(k, l, v1 + v2, w1) == \
+                theta(k, l, v1, w1) + theta(k, l, v2, w1)
+        assert Y.theta(k, l, u1 + u2, w1) == \
+            Y.theta(k, l, u1, w1) + Y.theta(k, l, u2, w1)
 
     check()
+
+
+_HALF = FockVector.basis(Q(1, 2), ())
+_CHARGED = FockVector.basis(Q(1, 2), (1,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FockModule(Q(1)).theta(1, 0, _CHARGED, FockVector.basis(Q(1), ())),
+    lambda: FockModule(Q(1)).theta_dual(1, 0, _CHARGED, FockVector.basis(Q(1), ())),
+    lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="conjugated"),
+    lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="direct"),
+    lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="right-op"),
+    lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
+        1, 0, FockVector.basis(Q(1), (1,)), _HALF),
+    lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
+        0, 0, _HALF, FockVector.basis(Q(1), ())),
+], ids=["module-theta", "module-theta-dual", "right-entry-conjugated",
+        "right-entry-direct", "right-entry-right-op", "intertwiner-theta-w1",
+        "intertwiner-theta-w2"])
+def test_wrong_charge_raises(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def _clear_caches():
@@ -382,7 +415,7 @@ def test_results_are_canonical_and_own_their_terms():
     from voamodes.matrices import _conjugated_series, _right_op_series
 
     M = FockModule(Q(1, 2), level_cap=20)
-    Y = fock_intertwiner(Q(1, 2), Q(1), level_cap=20)
+    Y = FockIntertwiner(Q(1, 2), Q(1), level_cap=20)
     idx = st.integers(0, 2)
 
     @settings(deadline=None, max_examples=25)

@@ -13,7 +13,6 @@ from voamodes.series import (
     rat,
     rat_str,
     residue,
-    taylor_bound_variants,
     truncated_taylor,
 )
 
@@ -53,16 +52,6 @@ def test_truncated_taylor_against_full_expansion(alpha, order):
     full = full_binomial_expansion(alpha, 25)
     want = LogLaurent({(Q(e), 0): c for e, c in full.items() if -e <= order})
     assert truncated_taylor(alpha, order) == want
-
-
-def test_taylor_bound_variants_diagnostic():
-    # with the alternative top index equal to alpha + order the two rules agree
-    order_rule, alt_rule, agree = taylor_bound_variants(-3, 5, alt_top=2)
-    assert agree and order_rule == alt_rule
-    # a smaller explicit top index genuinely differs
-    _, alt_small, agree2 = taylor_bound_variants(-3, 5, alt_top=1)
-    assert not agree2
-    assert len(alt_small.terms) == 2
 
 
 def test_residue():
