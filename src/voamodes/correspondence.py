@@ -99,6 +99,8 @@ class MapTable:
         exhaustive in that direction); w1 components above the stored
         level bound are genuinely unknown and raise OutOfTable.
         """
+        if w1.charge != self.lam1 or w2.charge != self.lam2:
+            raise ValueError("map tables take (source, right input) vectors")
         if not (0 <= k <= self.kmax and 0 <= l <= self.kmax):
             raise OutOfTable(f"indices ({k},{l}) outside the stored grid")
         out = zero_vector(self.lam3)
@@ -340,7 +342,8 @@ class _Span:
             return False
         pivot = min(terms)
         lead = terms[pivot]
-        self.rows[pivot] = {p: c / lead for p, c in terms.items()}
+        # coefficients may be ints, and int / int is a float
+        self.rows[pivot] = {p: Q(c) / lead for p, c in terms.items()}
         return True
 
     def dim(self) -> int:

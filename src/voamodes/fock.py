@@ -25,8 +25,11 @@ from math import factorial
 
 from .errors import LogOrderExceeded, TruncationOverflow
 from .heisenberg import (
+    _EXPAND_CACHE,
     FockVector,
+    _acc,
     _add_into,
+    _canon,
     _scale_terms,
     _trusted_vector,
     expand_pair,
@@ -40,14 +43,21 @@ Q = Fraction
 
 
 def pair_mode_terms(nu: tuple, lam1, mu: tuple, lam2, t: int) -> dict:
-    """Terms of the x^(lam1*lam2 + t) coefficient of Y(a(-nu)|lam1>, x) a(-mu)|lam2>."""
+    """Terms of the x^(lam1*lam2 + t) coefficient of Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
+
+    Read straight from the engine cache when its ceiling covers the
+    level; the returned terms are shared and must not be mutated.
+    """
     level = sum(nu) + sum(mu) + t
     if level < 0:
         return {}
-    return expand_pair(nu, lam1, mu, lam2, level).get(t, {})
+    cached = _EXPAND_CACHE.get((nu, lam1, mu, lam2))
+    if cached is None or cached[0] < level:
+        return expand_pair(nu, lam1, mu, lam2, level).get(t, {})
+    return cached[1].get(t, {})
 
 
-def fock_norm(partition: tuple) -> Fraction:
+def fock_norm(partition: tuple) -> int:
     """<a(-p)|q>, a(-p)|q>> for the diagonal free-field pairing."""
     z = 1
     seen: dict = {}
@@ -55,7 +65,7 @@ def fock_norm(partition: tuple) -> Fraction:
         seen[part] = seen.get(part, 0) + 1
     for part, mult in seen.items():
         z *= part ** mult * factorial(mult)
-    return Q(z)
+    return z
 
 
 class FockModule:
@@ -71,7 +81,7 @@ class FockModule:
         self.h = self.lam * self.lam / 2
 
     def highest(self) -> FockVector:
-        return FockVector(self.lam, {(): Q(1)})
+        return FockVector(self.lam, {(): 1})
 
     def zero(self) -> FockVector:
         return zero_vector(self.lam)
@@ -143,41 +153,50 @@ class FockModule:
         Defined by <Y'(v,x)w', w> = <w', Y(e^{xL(1)}(-x^-2)^{L(0)} v, x^-1) w>;
         for homogeneous v of weight h the x^(-n-1) coefficient pairs w'
         against (-1)^h / j! times the (2h-j-n-2)-th mode of L(1)^j v.
+        The pairing is read off the engine terms: the a(-p) coordinate is
+        the norm-weighted w' against the image of a(-p), over <a(-p), a(-p)>.
         """
         if v.charge != 0:
             raise ValueError("contragredient modes take algebra vectors")
+        if wprime.charge != self.lam:
+            raise ValueError("vector does not belong to this module")
         n_index = rat(n_index)
         if n_index.denominator != 1:
             return self.zero()
         n = int(n_index)
-        out = self.zero()
+        out: dict = {}
         for h in v.levels():
-            v_h = v.level_component(h)
-            sign = Q(-1) if h % 2 else Q(1)
+            # (j, h!/j!, L(1)^j v_h): integer weights over the common h!
+            chain = []
+            u = v.level_component(h)
+            for j in range(0, h + 1):
+                if u.is_zero():
+                    break
+                chain.append((j, factorial(h) // factorial(j), u.terms))
+                u = sugawara_l(1, u)
+            den = -factorial(h) if h % 2 else factorial(h)
             for lev_p in wprime.levels():
-                wp = wprime.level_component(lev_p)
                 target = lev_p + h - n - 1
                 if target < 0:
                     continue
-                if target > self.level_cap:
+                # the image of each mode lands at level lev_p
+                if max(target, lev_p) > self.level_cap:
                     raise TruncationOverflow(
-                        f"contragredient mode level {target} exceeds cap")
-                coords: dict = {}
-                u = v_h
-                for j in range(0, h + 1):
-                    if u.is_zero():
-                        break
-                    m = 2 * h - j - n - 2
-                    cj = sign / factorial(j)
-                    for p in partitions_of(target):
-                        b = FockVector.basis(self.lam, p)
-                        val = self.inner(wp, self.mode(u, m, b))
-                        if val != 0:
-                            cur = coords.get(p, Q(0)) + cj * val / fock_norm(p)
-                            coords[p] = cur
-                    u = sugawara_l(1, u)
-                out = out + FockVector(self.lam, coords)
-        return out
+                        f"contragredient mode level {max(target, lev_p)} exceeds cap")
+                paired = {q: c * fock_norm(q) for q, c in wprime.terms.items()
+                          if sum(q) == lev_p}
+                for p in partitions_of(target):
+                    total = 0
+                    for j, weight, terms in chain:
+                        for nu, cu in terms.items():
+                            image = pair_mode_terms(nu, 0, p, self.lam, j + n + 1 - 2 * h)
+                            val = sum(c * image[q] for q, c in paired.items()
+                                      if q in image)
+                            if val:
+                                total += weight * cu * val
+                    if total:
+                        _acc(out, p, Q(total, den * fock_norm(p)))
+        return _trusted_vector(self.lam, out)
 
     def theta_dual(self, k: int, l: int, v: FockVector, wprime: FockVector) -> FockVector:
         """The residue map on the contragredient module."""
@@ -211,7 +230,7 @@ class FockIntertwiner:
         self.lam2 = rat(lam2)
         self.lam3 = self.lam1 + self.lam2
         self.level_cap = int(level_cap)
-        self.scale = rat(scale)
+        self.scale = _canon(rat(scale))
         self.source = FockModule(self.lam1, level_cap)
         self.right_input = FockModule(self.lam2, level_cap)
         self.target = FockModule(self.lam3, level_cap)
@@ -250,6 +269,8 @@ class FockIntertwiner:
 
     def series(self, w1: FockVector, w2: FockVector, lo, hi) -> LogLaurent:
         """Y(w1, x) w2 over the exponent window [lo, hi]."""
+        if w1.charge != self.lam1 or w2.charge != self.lam2:
+            raise ValueError("intertwiner series take (source, right input) vectors")
         lo = rat(lo)
         hi = rat(hi)
         out: dict = {}

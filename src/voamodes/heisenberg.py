@@ -15,10 +15,17 @@ annihilation or zero mode to the right of every creation mode; the zero
 modes (including x^{q1 a(0)}) act before the charge shift, so they read
 the charge of w.  All arithmetic is exact.
 
+Every coefficient of a Fock vector is held in one canonical form: a
+Python `int` when its value is integral, otherwise a `Fraction` with
+denominator > 1.  The two compare and hash alike (1 == Fraction(1) and
+hash(1) == hash(Fraction(1))), so equality, cache keys and printed
+forms do not see the difference, and integral arithmetic stays on
+`int`s.  Charges and exponents stay `Fraction`s.
+
 The engine carries integer numerators over one common denominator per
 expansion and divides once, when the result goes into `_EXPAND_CACHE`
-as `Fraction`s.  With lam1 = p1/q1 and lam2 = p2/q2 the denominator
-has three sources:
+as canonical coefficients.  With lam1 = p1/q1 and lam2 = p2/q2 the
+denominator has three sources:
 
 - each exponential mode n applied at most J times is scaled by
   S_n = (q1 n)^J J!, which makes every factor (+-lam1)^j/(n^j j!) an
@@ -90,16 +97,24 @@ def _insert_part(p: tuple, d: int) -> tuple:
 # raw oscillator actions on {partition: coeff} dicts
 
 
+def _canon(c):
+    """The canonical coefficient: c as an int when it is integral."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 def _acc(target: dict, key, coeff) -> None:
     cur = target.get(key)
-    if cur is None:
-        target[key] = coeff
-    else:
-        cur = cur + coeff
-        if cur == 0:
+    if cur is not None:
+        coeff = cur + coeff
+        if not coeff:
             del target[key]
-        else:
-            target[key] = cur
+            return
+    # _canon inlined: this runs once per term of every sum
+    if type(coeff) is Fraction and coeff.denominator == 1:
+        coeff = coeff.numerator
+    target[key] = coeff
 
 
 def apply_creator(d: int, terms: dict) -> dict:
@@ -117,17 +132,23 @@ def apply_annihilator(k: int, terms: dict) -> dict:
     return out
 
 
-def _scale_terms(terms: dict, s: Fraction) -> dict:
+def _scale_terms(terms: dict, s) -> dict:
+    s = _canon(s)
+    if s == 1:
+        return dict(terms)
     if s == 0:
         return {}
-    return {p: c * s for p, c in terms.items()}
+    return {p: _canon(c * s) for p, c in terms.items()}
 
 
-def _add_into(target: dict, terms: dict, s: Fraction = Q(1)) -> None:
-    if s == 0:
-        return
-    for p, c in terms.items():
-        _acc(target, p, c * s)
+def _add_into(target: dict, terms: dict, s=1) -> None:
+    s = _canon(s)
+    if s == 1:
+        for p, c in terms.items():
+            _acc(target, p, c)
+    elif s != 0:
+        for p, c in terms.items():
+            _acc(target, p, c * s)
 
 
 def _max_part(terms: dict) -> int:
@@ -298,10 +319,16 @@ def _expand_basis_pair(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction,
 
     result = {}
     for t, terms in out.items():
-        terms = {p: Fraction(c, scale) for p, c in terms.items() if c}
+        terms = {p: _quotient(c, scale) for p, c in terms.items() if c}
         if terms:
             result[t] = terms
     return result
+
+
+def _quotient(num: int, den: int):
+    """num/den as a canonical coefficient."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def expand_pair(nu: tuple, lam1, mu: tuple, lam2, max_level: int) -> dict:
@@ -337,7 +364,8 @@ class FockVector:
         cleaned = {}
         if terms:
             for p, c in terms.items():
-                c = rat(c)
+                if type(c) is not int:
+                    c = _canon(rat(c))
                 if c != 0:
                     cleaned[normalize_partition(p)] = c
         object.__setattr__(self, "terms", cleaned)
@@ -348,7 +376,7 @@ class FockVector:
 
     @classmethod
     def basis(cls, charge, partition) -> "FockVector":
-        return cls(charge, {tuple(partition): Q(1)})
+        return cls(charge, {tuple(partition): 1})
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if self.charge != other.charge:
@@ -362,7 +390,9 @@ class FockVector:
         return self + other.scale(-1)
 
     def scale(self, s) -> "FockVector":
-        return _trusted_vector(self.charge, _scale_terms(self.terms, rat(s)))
+        if type(s) is not int:
+            s = rat(s)
+        return _trusted_vector(self.charge, _scale_terms(self.terms, s))
 
     def __eq__(self, other):
         return (isinstance(other, FockVector)
@@ -411,9 +441,10 @@ def _trusted_vector(charge: Fraction, terms: dict) -> FockVector:
     """FockVector from terms that are already canonical, skipping the checks.
 
     The caller guarantees a `Fraction` charge, non-increasing partition
-    keys and nonzero `Fraction` values, and hands `terms` over: the
-    vector owns the dict, so it must be fresh and must not be kept or
-    mutated elsewhere.
+    keys and nonzero canonical values (an `int` when the value is
+    integral, otherwise a `Fraction` with denominator > 1), and hands
+    `terms` over: the vector owns the dict, so it must be fresh and must
+    not be kept or mutated elsewhere.
     """
     vec = _new_object(FockVector)
     _set_charge(vec, charge)
@@ -476,7 +507,7 @@ def weight_of(vec: FockVector) -> Fraction:
 
 
 def vacuum() -> FockVector:
-    return FockVector(0, {EMPTY: Q(1)})
+    return FockVector(0, {EMPTY: 1})
 
 
 def conformal_vector() -> FockVector:
@@ -536,6 +567,8 @@ class Heisenberg:
     def vertex_series(self, v: FockVector, u: FockVector, lo: int,
                       hi: int) -> LogLaurent:
         """Y_V(v, x)u over the integer exponent window [lo, hi]."""
+        if v.charge != 0 or u.charge != 0:
+            raise ValueError("algebra vertex operators act on charge-0 vectors")
         for nu in v.terms:
             for mu in u.terms:
                 if sum(nu) + sum(mu) + hi > self.weight_cap:

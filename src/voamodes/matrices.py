@@ -13,7 +13,7 @@ evaluated three ways (directly, through L(0)-conjugation, or through the
 right vertex operator), and the three evaluations are kept as separate
 code paths so their agreement is a real check.
 
-Residue entries accumulate in plain {partition: Fraction} dicts and
+Residue entries accumulate in plain {partition: coefficient} dicts and
 wrap each result in exactly one FockVector, built through the trusted
 constructor.  The conjugated right-action series
 (1+x)^{-L(0)} Y_W(v, -x) (1+x)^{L(0)} w up to x^{k+l} does not depend
@@ -36,6 +36,7 @@ from .fock import FockIntertwiner, FockModule, right_vertex_op
 from .heisenberg import (
     FockVector,
     _add_into,
+    _canon,
     _trusted_vector,
     conformal_vector,
     expand_pair,
@@ -171,7 +172,7 @@ def _residue_weights(k: int, n: int, l: int, e: int) -> dict:
         for j in range(0, e + 1):
             s = -1 - (alpha - m) - j
             out[s] = out.get(s, 0) + cm * gen_binomial(e, j)
-    return {s: c for s, c in out.items() if c != 0}
+    return {s: _canon(c) for s, c in out.items() if c != 0}
 
 
 def _wv_modes(w: FockVector, v: FockVector, t_hi: int) -> dict:

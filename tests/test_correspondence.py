@@ -216,3 +216,27 @@ def test_reachability(table):
     M = FockModule(Q(1, 2), level_cap=6)
     rep = reachability_closure(M, 2, [ONE])
     assert not rep.ok
+
+
+def test_span_rows_stay_exact(monkeypatch):
+    from voamodes import correspondence
+
+    # integral coefficients: a plain c / lead would store the float 1.5
+    span = correspondence._Span()
+    assert span.add(FockVector(0, {(1, 1): 2, (2,): 3}))
+    entry = span.rows[(1, 1)][(2,)]
+    assert type(entry) is Q and entry == Q(3, 2)
+
+    made = []
+
+    class RecordingSpan(correspondence._Span):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(correspondence, "_Span", RecordingSpan)
+    gens = Heisenberg(weight_cap=6).basis_upto(2)
+    M = FockModule(Q(1), level_cap=4)
+    assert reachability_closure(M, 1, gens, dual=True).ok
+    entries = [c for s in made for row in s.rows.values() for c in row.values()]
+    assert entries and all(isinstance(c, (int, Q)) for c in entries)

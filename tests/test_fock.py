@@ -2,12 +2,23 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voamodes import heisenberg
 from voamodes.errors import LogOrderExceeded, TruncationOverflow
-from voamodes.fock import FockIntertwiner, FockModule, fock_norm, right_vertex_op
+from voamodes.fock import (
+    FockIntertwiner,
+    FockModule,
+    fock_norm,
+    pair_mode_terms,
+    right_vertex_op,
+)
 from voamodes.heisenberg import (
     FockVector,
     conformal_vector,
+    expand_pair,
+    partitions_of,
     sugawara_l,
     vacuum,
     weight_of,
@@ -143,6 +154,91 @@ def test_contragredient_pairing_duality(m_half):
                                 wp, m_half.mode(u, 2 * h - j - n - 2, w))
                             u = sugawara_l(1, u)
                         assert m_half.inner(lhs_vec, w) == rhs
+
+
+def per_partition_dual_mode(M, v, n_index, wprime):
+    """Contragredient mode one target basis vector at a time: for every
+    partition p of the target level, the whole module mode image of a(-p)
+    paired with w' through `inner`, over the norm of a(-p)."""
+    n = int(n_index)
+    out = M.zero()
+    for h in v.levels():
+        v_h = v.level_component(h)
+        sign = Q(-1) if h % 2 else Q(1)
+        for lev_p in wprime.levels():
+            wp = wprime.level_component(lev_p)
+            target = lev_p + h - n - 1
+            if target < 0:
+                continue
+            coords = {}
+            u = v_h
+            for j in range(0, h + 1):
+                if u.is_zero():
+                    break
+                cj = sign / factorial(j)
+                for p in partitions_of(target):
+                    b = FockVector.basis(M.lam, p)
+                    val = M.inner(wp, M.mode(u, 2 * h - j - n - 2, b))
+                    if val != 0:
+                        coords[p] = coords.get(p, Q(0)) + cj * val / fock_norm(p)
+                u = sugawara_l(1, u)
+            out = out + FockVector(M.lam, coords)
+    return out
+
+
+def _vectors(charge, max_level=3):
+    parts = [p for n in range(max_level + 1) for p in partitions_of(n)]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.dictionaries(st.sampled_from(parts), coeff, max_size=3).map(
+        lambda d: FockVector(charge, d))
+
+
+@pytest.mark.parametrize("lam", [Q(1, 2), Q(1)])
+def test_dual_mode_matches_per_partition_oracle(lam):
+    M = FockModule(lam, level_cap=8)
+
+    @settings(deadline=None, max_examples=40)
+    @given(_vectors(0), st.integers(-3, 3), _vectors(lam))
+    def check(v, n, wprime):
+        assert M.dual_mode(v, n, wprime) == per_partition_dual_mode(M, v, n, wprime)
+
+    check()
+
+
+def test_dual_mode_truncation():
+    # the images of the modes land at the level of w', the result at
+    # lev_p + wt v - n - 1; either above the cap raises
+    M = FockModule(Q(1, 2), level_cap=3)
+    with pytest.raises(TruncationOverflow):
+        M.dual_mode(OM, 3, M.basis(4)[0])
+    with pytest.raises(TruncationOverflow):
+        M.dual_mode(OM, -1, M.basis(2)[0])
+    assert M.dual_mode(OM, 0, M.basis(2)[0]).levels() in ([], [3])
+
+
+def _clear_engine_caches():
+    heisenberg._EXPAND_CACHE.clear()
+    heisenberg._DRESSING_CACHE.clear()
+
+
+def test_pair_mode_terms_matches_expand_pair_in_every_cache_state():
+    # warm level None: cold; 0: cached at ceiling 8, below the levels 9-12;
+    # 9: cached at ceiling 16, above every level read
+    cases = [((2, 1), Q(1, 2), (3, 1), Q(-1)), ((1,), Q(0), (2, 2), Q(1)),
+             ((), Q(1), (1, 1), Q(1, 2)), ((1, 1), Q(0), (), Q(0))]
+    for nu, lam1, mu, lam2 in cases:
+        base = sum(nu) + sum(mu)
+        for level in range(-1, 13):
+            t = level - base
+            _clear_engine_caches()
+            want = expand_pair(nu, lam1, mu, lam2, max(level, 0)).get(t, {})
+            for warm in (None, 0, 9):
+                _clear_engine_caches()
+                if warm is not None:
+                    expand_pair(nu, lam1, mu, lam2, warm)
+                got = pair_mode_terms(nu, lam1, mu, lam2, t)
+                assert got == want, (nu, lam1, mu, lam2, level, warm)
+    _clear_engine_caches()
 
 
 def test_contragredient_grading(m_half):

@@ -287,7 +287,12 @@ def _assert_engine_matches_oracle(nu, lam1, mu, lam2, max_level):
     got = _expand_basis_pair(nu, lam1, mu, lam2, max_level)
     assert got == fraction_engine_oracle(nu, lam1, mu, lam2, max_level), \
         (nu, lam1, mu, lam2)
-    assert all(type(c) is Q for terms in got.values() for c in terms.values())
+    assert all(_canonical_coeff(c) for terms in got.values() for c in terms.values())
+
+
+def _canonical_coeff(c):
+    """An int when the value is integral, otherwise a Fraction with denominator > 1."""
+    return type(c) is int or (type(c) is Q and c.denominator > 1)
 
 
 SMALL_NU = [p for n in range(4) for p in partitions_of(n)]

@@ -360,6 +360,12 @@ _HALF = FockVector.basis(Q(1, 2), ())
 _CHARGED = FockVector.basis(Q(1, 2), (1,))
 
 
+def _half_table():
+    from voamodes.correspondence import MapTable
+
+    return MapTable.from_intertwiner(FockIntertwiner(Q(1, 2), Q(1, 2)), 1, 1)
+
+
 @pytest.mark.parametrize("call", [
     lambda: FockModule(Q(1)).theta(1, 0, _CHARGED, FockVector.basis(Q(1), ())),
     lambda: FockModule(Q(1)).theta_dual(1, 0, _CHARGED, FockVector.basis(Q(1), ())),
@@ -370,9 +376,16 @@ _CHARGED = FockVector.basis(Q(1, 2), (1,))
         1, 0, FockVector.basis(Q(1), (1,)), _HALF),
     lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
         0, 0, _HALF, FockVector.basis(Q(1), ())),
+    lambda: FockModule(Q(1)).theta_dual(0, 0, ONE, _HALF),
+    lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).series(
+        FockVector.basis(Q(1), (1,)), _HALF, 0, 2),
+    lambda: _half_table().value(
+        1, 1, FockVector.basis(Q(1), ()), FockVector.basis(Q(3), (1,))),
+    lambda: Heisenberg().vertex_series(_HALF, ONE, 0, 2),
 ], ids=["module-theta", "module-theta-dual", "right-entry-conjugated",
         "right-entry-direct", "right-entry-right-op", "intertwiner-theta-w1",
-        "intertwiner-theta-w2"])
+        "intertwiner-theta-w2", "module-theta-dual-wprime", "intertwiner-series",
+        "table-value", "algebra-vertex-series"])
 def test_wrong_charge_raises(call):
     with pytest.raises(ValueError):
         call()
@@ -400,7 +413,10 @@ def _assert_canonical(vec, shared=()):
     for p, c in vec.terms.items():
         assert type(p) is tuple and all(type(x) is int and x > 0 for x in p)
         assert all(p[i] >= p[i + 1] for i in range(len(p) - 1))
-        assert type(c) is Q and c != 0
+        # an int when the value is integral, otherwise a Fraction with
+        # denominator > 1
+        assert type(c) is int or (type(c) is Q and c.denominator > 1)
+        assert c != 0
     held = {id(terms) for _, pairs in _EXPAND_CACHE.values()
             for terms in pairs.values()}
     held.update(id(terms) for terms in shared)
@@ -411,11 +427,13 @@ def test_results_are_canonical_and_own_their_terms():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from voamodes.heisenberg import sugawara_l
+    from voamodes.correspondence import MapTable
+    from voamodes.heisenberg import l_zero, sugawara_l
     from voamodes.matrices import _conjugated_series, _right_op_series
 
     M = FockModule(Q(1, 2), level_cap=20)
     Y = FockIntertwiner(Q(1, 2), Q(1), level_cap=20)
+    table = MapTable.from_intertwiner(Y, 2, 3)
     idx = st.integers(0, 2)
 
     @settings(deadline=None, max_examples=25)
@@ -423,9 +441,12 @@ def test_results_are_canonical_and_own_their_terms():
            _vector_strategy(Q(1)), idx, idx, idx, st.integers(-1, 1),
            st.integers(-2, 2))
     def check(u, v, w, w2, k, n, l, m, t):
-        for vec in (u + v, u - u, u.scale(Q(-2, 3)), u.scale(0),
-                    u.level_component(2), sugawara_l(m, w),
-                    M.mode(v, t, w), Y.mode(0, -t - 1 - Y.base_exponent, w, w2)):
+        # u, v, w and w2 come from the FockVector constructor
+        for vec in (u, v, w, w2, u + v, u - u, u.scale(Q(-2, 3)), u.scale(0),
+                    u.level_component(2), sugawara_l(m, w), l_zero(w),
+                    M.mode(v, t, w), Y.mode(0, -t - 1 - Y.base_exponent, w, w2),
+                    M.theta(k, l, v, w), M.theta_dual(k, l, v, w),
+                    Y.theta(k, l, w, w2), table.value(k, l, w, w2)):
             _assert_canonical(vec)
         # the cached forms over the whole index grid, the oracles at one point
         for kk, nn, ll in itertools.product(range(3), repeat=3):
