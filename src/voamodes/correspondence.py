@@ -16,7 +16,15 @@ from fractions import Fraction
 
 from .errors import OutOfTable
 from .fock import FockIntertwiner, FockModule
-from .heisenberg import FockVector, partitions_of, sugawara_l, weight_of, zero_vector
+from .heisenberg import (
+    FockVector,
+    _add_into,
+    _trusted_vector,
+    partitions_of,
+    sugawara_l,
+    weight_of,
+    zero_vector,
+)
 from .series import LogLaurent, gen_binomial, rat, rat_str
 
 Q = Fraction
@@ -103,19 +111,18 @@ class MapTable:
             raise ValueError("map tables take (source, right input) vectors")
         if not (0 <= k <= self.kmax and 0 <= l <= self.kmax):
             raise OutOfTable(f"indices ({k},{l}) outside the stored grid")
-        out = zero_vector(self.lam3)
-        w2_l = w2.level_component(l)
-        if w2_l.is_zero():
-            return out
-        for nu, c1 in w1.terms.items():
-            if sum(nu) > self.w1_levels:
-                raise OutOfTable(
-                    f"first-slot level {sum(nu)} beyond stored bound {self.w1_levels}")
-            for mu, c2 in w2_l.terms.items():
-                vec = self.entries.get((k, l, nu, mu))
-                if vec is not None:
-                    out = out + vec.scale(c1 * c2)
-        return out
+        w2_l = [(mu, c2) for mu, c2 in w2.terms.items() if sum(mu) == l]
+        out: dict = {}
+        if w2_l:
+            for nu, c1 in w1.terms.items():
+                if sum(nu) > self.w1_levels:
+                    raise OutOfTable(
+                        f"first-slot level {sum(nu)} beyond stored bound {self.w1_levels}")
+                for mu, c2 in w2_l:
+                    vec = self.entries.get((k, l, nu, mu))
+                    if vec is not None:
+                        _add_into(out, vec.terms, c1 * c2)
+        return _trusted_vector(self.lam3, out)
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -45,16 +45,18 @@ Q = Fraction
 def pair_mode_terms(nu: tuple, lam1, mu: tuple, lam2, t: int) -> dict:
     """Terms of the x^(lam1*lam2 + t) coefficient of Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
 
-    Read straight from the engine cache when its ceiling covers the
-    level; the returned terms are shared and must not be mutated.
+    These are the terms at level sum(nu) + sum(mu) + t, read straight
+    from the engine cache when that level is there, else computed by
+    expand_pair; the returned terms are shared and must not be mutated.
     """
     level = sum(nu) + sum(mu) + t
     if level < 0:
         return {}
-    cached = _EXPAND_CACHE.get((nu, lam1, mu, lam2))
-    if cached is None or cached[0] < level:
+    entry = _EXPAND_CACHE.get((nu, lam1, mu, lam2))
+    got = None if entry is None else entry[1].get(level)
+    if got is None:
         return expand_pair(nu, lam1, mu, lam2, level).get(t, {})
-    return cached[1].get(t, {})
+    return got
 
 
 def fock_norm(partition: tuple) -> int:
@@ -124,16 +126,27 @@ class FockModule:
     # -- evaluation map of matrices over the algebra ------------------------
 
     def theta(self, k: int, l: int, v: FockVector, w: FockVector) -> FockVector:
-        """Residue map sending [v]_{kl} to an operator: level l -> level k."""
+        """Residue map sending [v]_{kl} to an operator: level l -> level k.
+
+        On a(-nu)|0> of level h this is the mode of index h + l - k - 1,
+        so each pair with the level-l terms of w is one engine read at
+        level k.
+        """
+        if v.charge != 0:
+            raise ValueError("module modes take algebra vectors on the left")
+        if w.charge != self.lam:
+            raise ValueError("vector does not belong to this module")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
-        w_l = w.level_component(l)
-        if w_l.is_zero():
-            return self.zero()
-        out = self.zero()
-        for h in v.levels():
-            out = out + self.mode(v.level_component(h), h + l - k - 1, w_l)
-        return out
+        out: dict = {}
+        for mu, cw in w.terms.items():
+            if sum(mu) != l:
+                continue
+            for nu, cv in v.terms.items():
+                got = pair_mode_terms(nu, 0, mu, self.lam, k - sum(nu) - l)
+                if got:
+                    _add_into(out, got, cv * cw)
+        return _trusted_vector(self.lam, out)
 
     # -- contragredient module ----------------------------------------------
 
@@ -200,6 +213,10 @@ class FockModule:
 
     def theta_dual(self, k: int, l: int, v: FockVector, wprime: FockVector) -> FockVector:
         """The residue map on the contragredient module."""
+        if v.charge != 0:
+            raise ValueError("contragredient modes take algebra vectors")
+        if wprime.charge != self.lam:
+            raise ValueError("vector does not belong to this module")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
         wp = wprime.level_component(l)
@@ -297,18 +314,23 @@ class FockIntertwiner:
         """Evaluation of [w1]_{kl}: kills w2 off level l, lands in level k.
 
         Extracts the residue of x^(h2 - h3 + l - k - 1) Y(x^{L(0)} w1, x) w2
-        at log-power zero; the target is a single congruence class.
+        at log-power zero; the target is a single congruence class.  Since
+        h1 + h2 - h3 = -lam1 lam2, a(-nu)|lam1> of level a contributes its
+        x^(lam1 lam2 + k - l - a) coefficient: one engine read at level k.
         """
+        if w1.charge != self.lam1 or w2.charge != self.lam2:
+            raise ValueError("intertwiner modes take (source, right input) vectors")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
-        w2_l = w2.level_component(l)
-        if w2_l.is_zero():
-            return self.target.zero()
-        out = self.target.zero()
-        shift = self.h_shift() + self.source.h + l - k - 1
-        for a in w1.levels():
-            out = out + self.mode(0, shift + a, w1.level_component(a), w2_l)
-        return out
+        out: dict = {}
+        for mu, c2 in w2.terms.items():
+            if sum(mu) != l:
+                continue
+            for nu, c1 in w1.terms.items():
+                got = pair_mode_terms(nu, self.lam1, mu, self.lam2, k - sum(nu) - l)
+                if got:
+                    _add_into(out, got, c1 * c2 * self.scale)
+        return _trusted_vector(self.lam3, out)
 
     def __repr__(self):
         return (f"FockIntertwiner({rat_str(self.lam1)}, {rat_str(self.lam2)}; "

@@ -22,10 +22,14 @@ hash(1) == hash(Fraction(1))), so equality, cache keys and printed
 forms do not see the difference, and integral arithmetic stays on
 `int`s.  Charges and exponents stay `Fraction`s.
 
-The engine carries integer numerators over one common denominator per
-expansion and divides once, when the result goes into `_EXPAND_CACHE`
-as canonical coefficients.  With lam1 = p1/q1 and lam2 = p2/q2 the
-denominator has three sources:
+`_EXPAND_CACHE` holds, per basis pair, the annihilation stage (integer
+rows over one scale, which do not depend on the level) and the levels
+computed so far.  A request computes exactly the levels it is missing,
+in one creation pass built up to the highest of them (the budget).  The
+engine carries integer numerators over one common denominator per pass
+and divides once, when the levels go into the cache as canonical
+coefficients.  With lam1 = p1/q1 and lam2 = p2/q2 the denominator has
+three sources:
 
 - each exponential mode n applied at most J times is scaled by
   S_n = (q1 n)^J J!, which makes every factor (+-lam1)^j/(n^j j!) an
@@ -38,9 +42,10 @@ denominator has three sources:
   (-1)^m C(k+m, m) and C(d-1, m), and are exact integers already.
 
 The algebra of the conformal vector w = (1/2)a(-1)^2 |0> acts through
-the same engine; the Sugawara forms of L(0), L(+-1) are provided
-directly as fast paths and are cross-checked against the engine in the
-test suite.
+the same engine; the Sugawara forms of L(m) and L(0) are provided
+directly as fast paths, independent of the engine, and the test suite
+checks them against the engine and against the dense sum over all
+mode pairs.
 """
 
 from __future__ import annotations
@@ -158,6 +163,7 @@ def _max_part(terms: dict) -> int:
 # ---------------------------------------------------------------------------
 # the vertex-operator engine
 
+# (nu, lam1, mu, lam2) -> (annihilation stage, {level: terms}); see expand_pair
 _EXPAND_CACHE: dict = {}
 
 
@@ -176,51 +182,51 @@ def _exp_factors(p: int, qn: int, top: int) -> list:
 def _apply_exp_annihilation(mu: tuple, p1: int, q1: int) -> tuple:
     """exp(-lam1 sum_{n>0} a(n) x^-n / n) a(-mu)|.>, lam1 = p1/q1.
 
-    Returns (scale, {xoffset: terms}) with integer coefficients; the true
+    Returns (scale, terms) with integer coefficients; the true
     coefficients are these divided by scale.  Mode n acts at most
     J = mu.count(n) times, so it contributes the factor (q1 n)^J J!.
     """
     scale = 1
-    states = {0: {mu: 1}}
+    terms = {mu: 1}
     for n in sorted(set(mu)):
         factors = _exp_factors(-p1, q1 * n, mu.count(n))
         scale *= factors[0]
         out: dict = {}
-        for t, terms in states.items():
-            cur = terms
-            for j, f in enumerate(factors):
-                if not cur:
-                    break
-                _add_into(out.setdefault(t - n * j, {}), cur, f)
-                cur = apply_annihilator(n, cur)
-        states = {t: v for t, v in out.items() if v}
-    return scale, states
+        cur = terms
+        for f in factors:
+            if not cur:
+                break
+            _add_into(out, cur, f)
+            cur = apply_annihilator(n, cur)
+        terms = out
+    return scale, terms
 
 
 _DRESSING_CACHE: dict = {}
 
 
 def _creation_dressing(pending: tuple, p1: int, q1: int, budget: int) -> tuple:
-    """(scale, [(size, xoffset, inserted partition, coeff)]) for the creation stage.
+    """(scale, by_size) for the creation stage; by_size[s] lists (partition, coeff).
 
     The creation halves of the pending currents and the creation
     exponential only ever insert parts, with coefficients independent of
-    what they act on; the whole stage collapses to this finite table
-    (insertions bounded by `budget`), sorted by the size of the
-    insertion.  Coefficients are integers over `scale`: the currents
-    contribute binomials C(d-1, n_i-1), and exponential mode n acts at
-    most J = budget//n times, contributing (q1 n)^J J!.
+    what they act on; the whole stage collapses to this finite table of
+    insertions of size at most `budget`, grouped by size (an insertion
+    moves the x-exponent by its size less sum(pending)).  Coefficients
+    are integers over `scale`: the currents contribute binomials
+    C(d-1, n_i-1), and exponential mode n acts at most J = budget//n
+    times, contributing (q1 n)^J J!.
     """
     key = (pending, p1, q1, budget)
     got = _DRESSING_CACHE.get(key)
     if got is not None:
         return got
-    dressing = {(0, EMPTY): 1}
+    dressing = {EMPTY: 1}
     for ni in pending:
         nxt: dict = {}
-        for (t, ins), c in dressing.items():
+        for ins, c in dressing.items():
             for d in range(ni, budget - sum(ins) + 1):
-                _acc(nxt, (t + d - ni, _insert_part(ins, d)), c * comb(d - 1, ni - 1))
+                _acc(nxt, _insert_part(ins, d), c * comb(d - 1, ni - 1))
         dressing = nxt
     scale = 1
     if p1:
@@ -228,15 +234,18 @@ def _creation_dressing(pending: tuple, p1: int, q1: int, budget: int) -> tuple:
             factors = _exp_factors(p1, q1 * n, budget // n)
             scale *= factors[0]
             nxt = {}
-            for (t, ins), c in dressing.items():
+            for ins, c in dressing.items():
                 cur = ins
-                for j, f in enumerate(factors):
+                for f in factors:
                     if sum(cur) > budget:
                         break
-                    _acc(nxt, (t + n * j, cur), c * f)
+                    _acc(nxt, cur, c * f)
                     cur = _insert_part(cur, n)
             dressing = nxt
-    got = (scale, sorted((sum(ins), t, ins, c) for (t, ins), c in dressing.items()))
+    by_size: list = [[] for _ in range(budget + 1)]
+    for ins, c in dressing.items():
+        by_size[sum(ins)].append((ins, c))
+    got = (scale, by_size)
     _DRESSING_CACHE[key] = got
     return got
 
@@ -249,14 +258,16 @@ def _merge_parts(p: tuple, ins: tuple) -> tuple:
     return tuple(sorted(p + ins, reverse=True))
 
 
-def _expand_basis_pair(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction,
-                       max_level: int) -> dict:
-    """Coefficients {t: terms} of x^(lam1*lam2 + t) in Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
+def _annihilation_stage(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction) -> tuple:
+    """(scale, {pending: {partition: coeff}}): everything but creation.
 
-    Output terms live at charge lam1 + lam2; every t with
-    0 <= sum(nu) + sum(mu) + t <= max_level is present (possibly zero and
-    then absent).  The three stages work on integer numerators; the
-    result is divided by their common denominator once, at the end.
+    Applies the annihilation exponential, then each subset of the currents'
+    annihilation halves, and groups the integer rows by the currents left
+    pending for the creation stage.  The zero mode of a(x) contributes
+    lam2 C(-1, n_i-1) and a(k) contributes C(-k-1, n_i-1) =
+    (-1)^(n_i-1) C(k+n_i-1, n_i-1); each current is scaled by q2, and
+    every group is lifted to the common scale q2^r.  The rows do not
+    depend on the level: the x-exponent of a term is fixed by its level.
     """
     p1, q1 = lam1.numerator, lam1.denominator
     p2, q2 = lam2.numerator, lam2.denominator
@@ -264,65 +275,58 @@ def _expand_basis_pair(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction,
     if p1:
         scale, start = _apply_exp_annihilation(mu, p1, q1)
     else:
-        scale, start = 1, {0: {mu: 1}}
-
-    # annihilation stage per subset of currents, grouped by what remains
-    # for the creation stage.  The zero mode of a(x) contributes
-    # lam2 C(-1, n_i-1) and a(k) contributes C(-k-1, n_i-1) =
-    # (-1)^(n_i-1) C(k+n_i-1, n_i-1); each current is scaled by q2, and
-    # every bucket is lifted to the common scale q2^r.
+        scale, start = 1, {mu: 1}
     by_pending: dict = {}
     for take in range(r + 1):
         for right in combinations(range(r), take):
-            states = start
+            terms = start
             for i in right:
                 ni = nu[i]
                 sign = 1 if ni % 2 else -1
                 nxt: dict = {}
-                for t, terms in states.items():
-                    if p2:
-                        _add_into(nxt.setdefault(t - ni, {}), terms, sign * p2)
-                    for k in range(1, _max_part(terms) + 1):
-                        hit = apply_annihilator(k, terms)
-                        if hit:
-                            _add_into(nxt.setdefault(t - k - ni, {}), hit,
-                                      sign * q2 * comb(k + ni - 1, ni - 1))
-                states = {t: v for t, v in nxt.items() if v}
-                if not states:
+                if p2:
+                    _add_into(nxt, terms, sign * p2)
+                for k in range(1, _max_part(terms) + 1):
+                    hit = apply_annihilator(k, terms)
+                    if hit:
+                        _add_into(nxt, hit, sign * q2 * comb(k + ni - 1, ni - 1))
+                terms = nxt
+                if not terms:
                     break
-            if not states:
+            if not terms:
                 continue
             pending = tuple(sorted((nu[i] for i in range(r) if i not in right),
                                    reverse=True))
-            bucket = by_pending.setdefault(pending, {})
-            lift = q2 ** (r - take)
-            for t, terms in states.items():
-                _add_into(bucket.setdefault(t, {}), terms, lift)
-    scale *= q2 ** r
+            _add_into(by_pending.setdefault(pending, {}), terms, q2 ** (r - take))
+    return scale * q2 ** r, {pending: terms for pending, terms in by_pending.items()
+                             if terms}
 
-    # creation stage once per distinct pending multiset; every dressing
-    # has the same scale, and zero sums are dropped at the conversion
-    out: dict = {}
+
+def _fill_levels(entry: tuple, p1: int, q1: int, missing: list) -> None:
+    """Compute the listed levels (ascending) of a cache entry in one creation pass.
+
+    The dressing is built up to the highest missing level and each row
+    only meets the insertions that land it on a missing level; the sums
+    are divided by the common denominator once, here.
+    """
+    (scale, by_pending), levels = entry
+    budget = missing[-1]
+    out = {lev: {} for lev in missing}
     dscale = 1
-    for pending, states in by_pending.items():
-        dscale, dressing = _creation_dressing(pending, p1, q1, max_level)
-        for t, terms in states.items():
-            for p, c in terms.items():
-                room = max_level - sum(p)
-                for size, dt, ins, dc in dressing:
-                    if size > room:
-                        break
-                    target = out.setdefault(t + dt, {})
+    for pending, terms in by_pending.items():
+        dscale, by_size = _creation_dressing(pending, p1, q1, budget)
+        for p, c in terms.items():
+            s = sum(p)
+            for lev in missing:
+                if lev < s:
+                    continue
+                target = out[lev]
+                for ins, dc in by_size[lev - s]:
                     key = _merge_parts(p, ins)
                     target[key] = target.get(key, 0) + c * dc
     scale *= dscale
-
-    result = {}
-    for t, terms in out.items():
-        terms = {p: _quotient(c, scale) for p, c in terms.items() if c}
-        if terms:
-            result[t] = terms
-    return result
+    for lev, terms in out.items():
+        levels[lev] = {p: _quotient(c, scale) for p, c in terms.items() if c}
 
 
 def _quotient(num: int, den: int):
@@ -332,22 +336,30 @@ def _quotient(num: int, den: int):
 
 
 def expand_pair(nu: tuple, lam1, mu: tuple, lam2, max_level: int) -> dict:
-    """Cached engine expansion; see _expand_basis_pair.
+    """Coefficients {t: terms} of x^(lam1*lam2 + t) in Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
 
-    Cache entries are computed at a quantized level ceiling so runs of
-    nearby requests share one expansion.
+    Output terms live at charge lam1 + lam2 and level sum(nu) + sum(mu) + t;
+    every t with 0 <= sum(nu) + sum(mu) + t <= max_level is present
+    (possibly zero and then absent).  The returned terms are shared with
+    the cache and must not be mutated.
+
+    The cache entry of a pair holds its annihilation stage and a
+    {level: terms} dict with every level computed so far, an empty dict
+    for a zero level.  A request computes exactly its missing levels, in
+    one pass.
     """
     lam1 = rat(lam1)
     lam2 = rat(lam2)
     key = (nu, lam1, mu, lam2)
-    cached = _EXPAND_CACHE.get(key)
-    if cached is None or cached[0] < max_level:
-        ceiling = max(8, -(-max_level // 8) * 8)
-        cached = (ceiling, _expand_basis_pair(nu, lam1, mu, lam2, ceiling))
-        _EXPAND_CACHE[key] = cached
+    entry = _EXPAND_CACHE.get(key)
+    if entry is None:
+        entry = _EXPAND_CACHE[key] = (_annihilation_stage(nu, lam1, mu, lam2), {})
+    levels = entry[1]
+    missing = [lev for lev in range(max_level + 1) if lev not in levels]
+    if missing:
+        _fill_levels(entry, lam1.numerator, lam1.denominator, missing)
     base = sum(nu) + sum(mu)
-    top = max_level - base
-    return {t: terms for t, terms in cached[1].items() if t <= top}
+    return {lev - base: levels[lev] for lev in range(max_level + 1) if levels[lev]}
 
 
 # ---------------------------------------------------------------------------
@@ -462,30 +474,54 @@ def zero_vector(charge) -> FockVector:
 
 
 def sugawara_l(m: int, vec: FockVector) -> FockVector:
-    """L(m) = (1/2) sum_j :a(-j)a(j+m):  acting on a Fock vector."""
+    """L(m) = (1/2) sum_j :a(-j)a(j+m):  acting on a Fock vector.
+
+    In normal order L(m) = sum_{a>b, a+b=m} a(b)a(a) + [m even] a(m/2)^2/2,
+    so only the parts a > m/2 present in a term are annihilated; the
+    zero-mode and creator-creator pairs act on every term.  Coefficients
+    stay integral except through the charge and the halved square.
+    """
     out: dict = {}
     lam = vec.charge
-
-    def apply(mode: int, terms: dict) -> dict:
-        if mode > 0:
-            return apply_annihilator(mode, terms)
-        if mode == 0:
-            return _scale_terms(terms, lam)
-        return apply_creator(-mode, terms)
-
-    top = _max_part(vec.terms) + abs(m) + 1
-    for j in range(-top, top + 1):
-        a, b = -j, j + m
-        if a < b:
-            a, b = b, a
-        # normal order: the annihilation-side mode a acts first; each
-        # unordered pair occurs for two values of j (one when a == b),
-        # so the uniform 1/2 yields the right multiplicity
-        cur = apply(a, vec.terms)
-        if not cur:
-            continue
-        cur = apply(b, cur)
-        _add_into(out, cur, Q(1, 2))
+    half = m // 2 if m % 2 == 0 else None
+    # both modes creators: a(m-a)a(a) with m/2 < a < 0, as inserted parts
+    creations = [(-a, a - m) for a in range(-1, m // 2, -1)]
+    for p, c in vec.terms.items():
+        for a in set(p):
+            if 2 * a <= m:
+                continue
+            q = list(p)
+            q.remove(a)
+            ca = c * a * p.count(a)
+            b = m - a
+            if b > 0:
+                mult = q.count(b)
+                if mult:
+                    q.remove(b)
+                    _acc(out, tuple(q), ca * b * mult)
+            elif b == 0:
+                if lam:
+                    _acc(out, tuple(q), ca * lam)
+            else:
+                _acc(out, _insert_part(tuple(q), -b), ca)
+        if half is not None:
+            if half > 0:
+                mult = p.count(half)
+                if mult > 1:
+                    q = list(p)
+                    q.remove(half)
+                    q.remove(half)
+                    _acc(out, tuple(q), c * half * half * (mult * (mult - 1) // 2))
+            elif half == 0:
+                if lam:
+                    _acc(out, p, c * lam * lam / 2)
+            else:
+                _acc(out, _insert_part(_insert_part(p, -half), -half), Fraction(c, 2))
+        if m < 0 and lam:
+            # a(m)a(0): the zero mode reads the charge
+            _acc(out, _insert_part(p, -m), c * lam)
+        for d1, d2 in creations:
+            _acc(out, _insert_part(_insert_part(p, d1), d2), c)
     return _trusted_vector(vec.charge, out)
 
 

@@ -221,23 +221,49 @@ def _clear_engine_caches():
     heisenberg._DRESSING_CACHE.clear()
 
 
+def _warm(nu, lam1, mu, lam2, warm):
+    """Put one pair's cache entry in a state: None cold, ("range", n) after
+    expand_pair up to level n, ("single", levels) after one fill per level."""
+    _clear_engine_caches()
+    if warm is None:
+        return
+    kind, arg = warm
+    if kind == "range":
+        expand_pair(nu, lam1, mu, lam2, arg)
+        return
+    entry = heisenberg._EXPAND_CACHE.setdefault(
+        (nu, lam1, mu, lam2),
+        (heisenberg._annihilation_stage(nu, lam1, mu, lam2), {}))
+    for level in arg:
+        heisenberg._fill_levels(entry, lam1.numerator, lam1.denominator, [level])
+
+
 def test_pair_mode_terms_matches_expand_pair_in_every_cache_state():
-    # warm level None: cold; 0: cached at ceiling 8, below the levels 9-12;
-    # 9: cached at ceiling 16, above every level read
+    # public reads only ever extend the computed levels from 0 up, so the
+    # states with gaps (levels 2, 7 and 11 alone; level 12 alone) are made
+    # by single-level fills; every read after them fills around the gaps
     cases = [((2, 1), Q(1, 2), (3, 1), Q(-1)), ((1,), Q(0), (2, 2), Q(1)),
              ((), Q(1), (1, 1), Q(1, 2)), ((1, 1), Q(0), (), Q(0))]
+    states = [None, ("range", 5), ("single", (2, 7, 11)), ("single", (12,))]
     for nu, lam1, mu, lam2 in cases:
         base = sum(nu) + sum(mu)
-        for level in range(-1, 13):
-            t = level - base
-            _clear_engine_caches()
-            want = expand_pair(nu, lam1, mu, lam2, max(level, 0)).get(t, {})
-            for warm in (None, 0, 9):
-                _clear_engine_caches()
-                if warm is not None:
-                    expand_pair(nu, lam1, mu, lam2, warm)
+        _clear_engine_caches()
+        want = expand_pair(nu, lam1, mu, lam2, 12)
+        for warm in states:
+            for level in range(-1, 13):
+                t = level - base
+                _warm(nu, lam1, mu, lam2, warm)
                 got = pair_mode_terms(nu, lam1, mu, lam2, t)
-                assert got == want, (nu, lam1, mu, lam2, level, warm)
+                assert got == want.get(t, {}), (nu, lam1, mu, lam2, level, warm)
+            # range reads over the gaps, then everything from the cache
+            _warm(nu, lam1, mu, lam2, warm)
+            for top in (9, 4, 12):
+                got = expand_pair(nu, lam1, mu, lam2, top)
+                assert got == {t: v for t, v in want.items() if base + t <= top}, \
+                    (nu, lam1, mu, lam2, top, warm)
+            for level in range(13):
+                assert pair_mode_terms(nu, lam1, mu, lam2, level - base) == \
+                    want.get(level - base, {}), (nu, lam1, mu, lam2, level, warm)
     _clear_engine_caches()
 
 

@@ -8,19 +8,22 @@ from hypothesis import strategies as st
 
 from voamodes import heisenberg
 from voamodes.errors import NonHomogeneous, TruncationOverflow
+from voamodes.fock import pair_mode_terms
 from voamodes.heisenberg import (
     FockVector,
     Heisenberg,
     _acc,
     _add_into,
-    _expand_basis_pair,
     _insert_part,
     _max_part,
     _merge_parts,
+    _scale_terms,
     apply_annihilator,
+    apply_creator,
     conformal_vector,
     expand_pair,
     partitions_of,
+    sugawara_l,
     vacuum,
     weight_of,
     zero_vector,
@@ -68,6 +71,49 @@ def virasoro_oracle(m: int, vec: FockVector) -> FockVector:
         lo, hi = min(a, b), max(a, b)
         out = out + word_apply((lo, hi), vec).scale(Q(1, 2))
     return out
+
+
+def dense_sugawara_oracle(m: int, vec: FockVector) -> FockVector:
+    """L(m) as (1/2) :a(-j)a(j+m): summed over every j in [-top, top]."""
+    out: dict = {}
+
+    def apply(mode: int, terms: dict) -> dict:
+        if mode > 0:
+            return apply_annihilator(mode, terms)
+        if mode == 0:
+            return _scale_terms(terms, vec.charge)
+        return apply_creator(-mode, terms)
+
+    top = _max_part(vec.terms) + abs(m) + 1
+    for j in range(-top, top + 1):
+        a, b = -j, j + m
+        if a < b:
+            a, b = b, a
+        # normal order: the annihilation-side mode a acts first; each
+        # unordered pair occurs for two values of j (one when a == b),
+        # so the uniform 1/2 yields the right multiplicity
+        _add_into(out, apply(b, apply(a, vec.terms)), Q(1, 2))
+    return FockVector(vec.charge, out)
+
+
+SUGAWARA_CHARGES = (Q(0), Q(1, 2), Q(-1, 2), Q(1), Q(-1), Q(3, 2))
+
+
+@pytest.mark.parametrize("charge", SUGAWARA_CHARGES)
+def test_sugawara_matches_dense_oracle(charge):
+    vectors = []
+    for n in range(8):
+        parts = partitions_of(n)
+        vectors += [FockVector(charge, {p: c}) for p in parts for c in (1, Q(-2, 3))]
+        # every partition of n at once, so terms can meet and cancel
+        vectors.append(FockVector(charge, {p: (Q(i, 3) if i % 2 else i - 2)
+                                           for i, p in enumerate(parts)}))
+    for vec in vectors:
+        for m in range(-4, 5):
+            got = sugawara_l(m, vec)
+            assert got == dense_sugawara_oracle(m, vec), (m, vec)
+            assert type(got.charge) is Q
+            assert all(_canonical_coeff(c) and c != 0 for c in got.terms.values())
 
 
 def test_vacuum_and_conformal():
@@ -283,11 +329,29 @@ def fraction_engine_oracle(nu, lam1, mu, lam2, max_level):
     return {t: v for t, v in out.items() if v}
 
 
+# single-level reads in this order fill the levels in four passes of one,
+# three, two and three levels
+READ_ORDER = (0, 3, 1, 2, 5, 4, 8, 6, 7)
+
+
 def _assert_engine_matches_oracle(nu, lam1, mu, lam2, max_level):
-    got = _expand_basis_pair(nu, lam1, mu, lam2, max_level)
-    assert got == fraction_engine_oracle(nu, lam1, mu, lam2, max_level), \
-        (nu, lam1, mu, lam2)
+    """The range read and the single-level reads, each from a cold pair entry."""
+    want = fraction_engine_oracle(nu, lam1, mu, lam2, max_level)
+    base = sum(nu) + sum(mu)
+    key = (nu, lam1, mu, lam2)
+    heisenberg._EXPAND_CACHE.pop(key, None)
+    got = expand_pair(nu, lam1, mu, lam2, max_level)
+    assert got == want, key
     assert all(_canonical_coeff(c) for terms in got.values() for c in terms.values())
+    heisenberg._EXPAND_CACHE.pop(key)
+    for level in (lev for lev in READ_ORDER if lev <= max_level):
+        t = level - base
+        assert pair_mode_terms(nu, lam1, mu, lam2, t) == want.get(t, {}), (key, level)
+
+
+def _clear_engine_caches():
+    heisenberg._EXPAND_CACHE.clear()
+    heisenberg._DRESSING_CACHE.clear()
 
 
 def _canonical_coeff(c):
@@ -326,8 +390,7 @@ def test_expansions_independent_of_cache_state_and_order():
     levels = range(0, 10)
 
     def sweep(order):
-        heisenberg._EXPAND_CACHE.clear()
-        heisenberg._DRESSING_CACHE.clear()
+        _clear_engine_caches()
         return {(i, lev): expand_pair(nu, lam1, mu, lam2, sum(nu) + sum(mu) + lev)
                 for lev in order for i, (nu, lam1, mu, lam2) in enumerate(pairs)}
 

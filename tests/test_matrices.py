@@ -9,6 +9,7 @@ from voamodes.heisenberg import (
     FockVector,
     Heisenberg,
     conformal_vector,
+    partitions_of,
     vacuum,
 )
 from voamodes.matrices import (
@@ -382,10 +383,22 @@ def _half_table():
     lambda: _half_table().value(
         1, 1, FockVector.basis(Q(1), ()), FockVector.basis(Q(3), (1,))),
     lambda: Heisenberg().vertex_series(_HALF, ONE, 0, 2),
+    # w (or w2) has no level-3 component: the charges are checked first
+    lambda: FockModule(Q(1, 2)).theta(0, 3, FockVector.basis(Q(1), (1,)), _HALF),
+    lambda: FockModule(Q(1, 2)).theta(0, 3, ONE, FockVector.basis(Q(1), ())),
+    lambda: FockModule(Q(1, 2)).theta_dual(0, 3, FockVector.basis(Q(1), (1,)), _HALF),
+    lambda: FockModule(Q(1, 2)).theta_dual(0, 3, ONE, FockVector.basis(Q(1), ())),
+    lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
+        0, 3, FockVector.basis(Q(1), ()), _HALF),
+    lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
+        0, 3, _HALF, FockVector.basis(Q(1), ())),
 ], ids=["module-theta", "module-theta-dual", "right-entry-conjugated",
         "right-entry-direct", "right-entry-right-op", "intertwiner-theta-w1",
         "intertwiner-theta-w2", "module-theta-dual-wprime", "intertwiner-series",
-        "table-value", "algebra-vertex-series"])
+        "table-value", "algebra-vertex-series", "module-theta-v-off-level",
+        "module-theta-w-off-level", "module-theta-dual-v-off-level",
+        "module-theta-dual-wprime-off-level", "intertwiner-theta-w1-off-level",
+        "intertwiner-theta-w2-off-level"])
 def test_wrong_charge_raises(call):
     with pytest.raises(ValueError):
         call()
@@ -417,8 +430,10 @@ def _assert_canonical(vec, shared=()):
         # denominator > 1
         assert type(c) is int or (type(c) is Q and c.denominator > 1)
         assert c != 0
-    held = {id(terms) for _, pairs in _EXPAND_CACHE.values()
-            for terms in pairs.values()}
+    held = [terms for _, levels in _EXPAND_CACHE.values() for terms in levels.values()]
+    # the walk must reach the engine's term dicts, or the check is vacuous
+    assert all(type(terms) is dict for terms in held) and (held or not _EXPAND_CACHE)
+    held = {id(terms) for terms in held}
     held.update(id(terms) for terms in shared)
     assert id(vec.terms) not in held
 
@@ -459,6 +474,17 @@ def test_results_are_canonical_and_own_their_terms():
             _assert_canonical(right_entry(w, v, k, n, l, form), series)
 
     check()
+    # basis vectors with coefficient 1: one engine read per value, the
+    # case where a shortcut would hand out the cached terms themselves
+    for k, l in itertools.product(range(3), repeat=2):
+        for p in partitions_of(l):
+            w = FockVector.basis(Q(1, 2), p)
+            w2 = FockVector.basis(Q(1), p)
+            for v in (ONE, A1, FockVector.basis(0, (2,))):
+                _assert_canonical(M.theta(k, l, v, w))
+            for u in (FockVector.basis(Q(1, 2), ()), FockVector.basis(Q(1, 2), (1,))):
+                _assert_canonical(Y.theta(k, l, u, w2))
+                _assert_canonical(table.value(k, l, u, w2))
 
 
 def _right_entry_grid(order):
