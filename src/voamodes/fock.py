@@ -59,6 +59,31 @@ def pair_mode_terms(nu: tuple, lam1, mu: tuple, lam2, t: int) -> dict:
     return got
 
 
+def _pair_sum(v_terms: dict, lam1, w_items, lam2, scale, t_of_level) -> dict:
+    """Terms of the sum of cv cw scale [x^(lam1*lam2 + t)] Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
+
+    The sum runs over (nu, cv) in v_terms and (mu, cw) in w_items, with
+    t = t_of_level(sum(nu)): one engine read per pair.  The evaluation
+    maps and the modes of both module classes are this loop.
+    """
+    out: dict = {}
+    for nu, cv in v_terms.items():
+        t = t_of_level(sum(nu))
+        for mu, cw in w_items:
+            got = pair_mode_terms(nu, lam1, mu, lam2, t)
+            if got:
+                _add_into(out, got, cv * cw * scale)
+    return out
+
+
+def _check_result_level(v: FockVector, w: FockVector, t: int, cap: int, what: str) -> None:
+    """Raise TruncationOverflow if some basis pair of v, w reads a level above cap."""
+    if v.terms and w.terms:
+        top = max(map(sum, v.terms)) + max(map(sum, w.terms)) + t
+        if top > cap:
+            raise TruncationOverflow(f"{what} level {top} exceeds cap {cap}")
+
+
 def fock_norm(partition: tuple) -> int:
     """<a(-p)|q>, a(-p)|q>> for the diagonal free-field pairing."""
     z = 1
@@ -109,19 +134,9 @@ class FockModule:
         if n_index.denominator != 1:
             return self.zero()
         t = -int(n_index) - 1
-        out: dict = {}
-        for nu, cv in v.terms.items():
-            for mu, cw in w.terms.items():
-                level = sum(nu) + sum(mu) + t
-                if level < 0:
-                    continue
-                if level > self.level_cap:
-                    raise TruncationOverflow(
-                        f"mode result level {level} exceeds cap {self.level_cap}")
-                got = pair_mode_terms(nu, 0, mu, self.lam, t)
-                if got:
-                    _add_into(out, got, cv * cw)
-        return _trusted_vector(self.lam, out)
+        _check_result_level(v, w, t, self.level_cap, "mode result")
+        return _trusted_vector(
+            self.lam, _pair_sum(v.terms, 0, w.terms.items(), self.lam, 1, lambda a: t))
 
     # -- evaluation map of matrices over the algebra ------------------------
 
@@ -138,15 +153,9 @@ class FockModule:
             raise ValueError("vector does not belong to this module")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
-        out: dict = {}
-        for mu, cw in w.terms.items():
-            if sum(mu) != l:
-                continue
-            for nu, cv in v.terms.items():
-                got = pair_mode_terms(nu, 0, mu, self.lam, k - sum(nu) - l)
-                if got:
-                    _add_into(out, got, cv * cw)
-        return _trusted_vector(self.lam, out)
+        w_l = [(mu, cw) for mu, cw in w.terms.items() if sum(mu) == l]
+        return _trusted_vector(
+            self.lam, _pair_sum(v.terms, 0, w_l, self.lam, 1, lambda a: k - a - l))
 
     # -- contragredient module ----------------------------------------------
 
@@ -270,19 +279,9 @@ class FockIntertwiner:
         if t.denominator != 1:
             return self.target.zero()
         t = int(t)
-        out: dict = {}
-        for nu, c1 in w1.terms.items():
-            for mu, c2 in w2.terms.items():
-                level = sum(nu) + sum(mu) + t
-                if level < 0:
-                    continue
-                if level > self.level_cap:
-                    raise TruncationOverflow(
-                        f"intertwiner mode level {level} exceeds cap {self.level_cap}")
-                got = pair_mode_terms(nu, self.lam1, mu, self.lam2, t)
-                if got:
-                    _add_into(out, got, c1 * c2 * self.scale)
-        return _trusted_vector(self.lam3, out)
+        _check_result_level(w1, w2, t, self.level_cap, "intertwiner mode")
+        return _trusted_vector(self.lam3, _pair_sum(
+            w1.terms, self.lam1, w2.terms.items(), self.lam2, self.scale, lambda a: t))
 
     def series(self, w1: FockVector, w2: FockVector, lo, hi) -> LogLaurent:
         """Y(w1, x) w2 over the exponent window [lo, hi]."""
@@ -322,15 +321,9 @@ class FockIntertwiner:
             raise ValueError("intertwiner modes take (source, right input) vectors")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
-        out: dict = {}
-        for mu, c2 in w2.terms.items():
-            if sum(mu) != l:
-                continue
-            for nu, c1 in w1.terms.items():
-                got = pair_mode_terms(nu, self.lam1, mu, self.lam2, k - sum(nu) - l)
-                if got:
-                    _add_into(out, got, c1 * c2 * self.scale)
-        return _trusted_vector(self.lam3, out)
+        w2_l = [(mu, c2) for mu, c2 in w2.terms.items() if sum(mu) == l]
+        return _trusted_vector(self.lam3, _pair_sum(
+            w1.terms, self.lam1, w2_l, self.lam2, self.scale, lambda a: k - a - l))
 
     def __repr__(self):
         return (f"FockIntertwiner({rat_str(self.lam1)}, {rat_str(self.lam2)}; "

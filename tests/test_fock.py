@@ -216,15 +216,30 @@ def test_dual_mode_truncation():
     assert M.dual_mode(OM, 0, M.basis(2)[0]).levels() in ([], [3])
 
 
-def _clear_engine_caches():
-    heisenberg._EXPAND_CACHE.clear()
-    heisenberg._DRESSING_CACHE.clear()
+def test_mode_truncation():
+    # a mode raises when any basis pair lands above the cap, whatever the
+    # other pairs do; pairs that land below level 0 contribute nothing
+    M = FockModule(Q(1, 2), level_cap=3)
+    w = M.highest() + M.basis(2)[0]
+    # a(-1)|0> has weight 1, so its mode n moves levels by -n
+    assert M.mode(A1, -1, w).levels() == [1, 3]
+    with pytest.raises(TruncationOverflow):
+        M.mode(A1, -2, w)
+    assert M.mode(A1, 3, w).is_zero()
+    # here the exponent of the mode m is m = -t - 3/2 for a level shift t
+    Y = FockIntertwiner(Q(1, 2), Q(1), level_cap=3)
+    w1 = Y.source.highest()
+    w2 = Y.right_input.highest() + Y.right_input.basis(2)[0]
+    assert Y.mode(0, Q(-5, 2), w1, w2).levels() == [1, 3]
+    with pytest.raises(TruncationOverflow):
+        Y.mode(0, Q(-7, 2), w1, w2)
+    assert Y.mode(0, Q(3, 2), w1, w2).is_zero()
 
 
-def _warm(nu, lam1, mu, lam2, warm):
+def _warm(clear, nu, lam1, mu, lam2, warm):
     """Put one pair's cache entry in a state: None cold, ("range", n) after
     expand_pair up to level n, ("single", levels) after one fill per level."""
-    _clear_engine_caches()
+    clear()
     if warm is None:
         return
     kind, arg = warm
@@ -238,7 +253,7 @@ def _warm(nu, lam1, mu, lam2, warm):
         heisenberg._fill_levels(entry, lam1.numerator, lam1.denominator, [level])
 
 
-def test_pair_mode_terms_matches_expand_pair_in_every_cache_state():
+def test_pair_mode_terms_matches_expand_pair_in_every_cache_state(clear_engine_caches):
     # public reads only ever extend the computed levels from 0 up, so the
     # states with gaps (levels 2, 7 and 11 alone; level 12 alone) are made
     # by single-level fills; every read after them fills around the gaps
@@ -247,16 +262,16 @@ def test_pair_mode_terms_matches_expand_pair_in_every_cache_state():
     states = [None, ("range", 5), ("single", (2, 7, 11)), ("single", (12,))]
     for nu, lam1, mu, lam2 in cases:
         base = sum(nu) + sum(mu)
-        _clear_engine_caches()
+        clear_engine_caches()
         want = expand_pair(nu, lam1, mu, lam2, 12)
         for warm in states:
             for level in range(-1, 13):
                 t = level - base
-                _warm(nu, lam1, mu, lam2, warm)
+                _warm(clear_engine_caches, nu, lam1, mu, lam2, warm)
                 got = pair_mode_terms(nu, lam1, mu, lam2, t)
                 assert got == want.get(t, {}), (nu, lam1, mu, lam2, level, warm)
             # range reads over the gaps, then everything from the cache
-            _warm(nu, lam1, mu, lam2, warm)
+            _warm(clear_engine_caches, nu, lam1, mu, lam2, warm)
             for top in (9, 4, 12):
                 got = expand_pair(nu, lam1, mu, lam2, top)
                 assert got == {t: v for t, v in want.items() if base + t <= top}, \
@@ -264,7 +279,6 @@ def test_pair_mode_terms_matches_expand_pair_in_every_cache_state():
             for level in range(13):
                 assert pair_mode_terms(nu, lam1, mu, lam2, level - base) == \
                     want.get(level - base, {}), (nu, lam1, mu, lam2, level, warm)
-    _clear_engine_caches()
 
 
 def test_contragredient_grading(m_half):

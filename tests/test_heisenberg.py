@@ -349,11 +349,6 @@ def _assert_engine_matches_oracle(nu, lam1, mu, lam2, max_level):
         assert pair_mode_terms(nu, lam1, mu, lam2, t) == want.get(t, {}), (key, level)
 
 
-def _clear_engine_caches():
-    heisenberg._EXPAND_CACHE.clear()
-    heisenberg._DRESSING_CACHE.clear()
-
-
 def _canonical_coeff(c):
     """An int when the value is integral, otherwise a Fraction with denominator > 1."""
     return type(c) is int or (type(c) is Q and c.denominator > 1)
@@ -384,13 +379,13 @@ def test_engine_matches_oracle_at_thirds_and_quarters(nu, lam1, mu, lam2):
     _assert_engine_matches_oracle(nu, lam1, mu, lam2, 8)
 
 
-def test_expansions_independent_of_cache_state_and_order():
+def test_expansions_independent_of_cache_state_and_order(clear_engine_caches):
     pairs = [((2, 1), Q(1, 2), (3, 1), Q(-1)), ((1,), Q(-1, 3), (2, 2), Q(3, 4)),
              ((3,), Q(0), (1, 1), Q(1, 2)), ((1, 1), Q(1), (), Q(0))]
     levels = range(0, 10)
 
     def sweep(order):
-        _clear_engine_caches()
+        clear_engine_caches()
         return {(i, lev): expand_pair(nu, lam1, mu, lam2, sum(nu) + sum(mu) + lev)
                 for lev in order for i, (nu, lam1, mu, lam2) in enumerate(pairs)}
 
