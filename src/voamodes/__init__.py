@@ -8,16 +8,13 @@ command-line suites.
 """
 
 from .errors import (
-    LogOrderExceeded,
-    LogPresent,
     NonHomogeneous,
     OutOfTable,
     TruncationOverflow,
 )
 from .series import (
-    LogLaurent,
+    Laurent,
     binom_series,
-    coeff_log,
     gen_binomial,
     rat,
     rat_str,
@@ -26,7 +23,6 @@ from .series import (
 )
 from .heisenberg import (
     FockVector,
-    Heisenberg,
     conformal_vector,
     partitions_of,
     vacuum,

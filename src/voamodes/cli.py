@@ -1,10 +1,11 @@
 """Command-line front end: verify / tables / intertwiner.
 
 Exit codes: 0 all checks pass, 1 at least one suite failed, 2 bad
-configuration or an unreadable/unwritable file, 3 the configured
-truncation bounds are too tight for a requested computation.  JSON
-output is deterministic byte-for-byte for a fixed configuration and
-seed; timing is printed to the console only.
+configuration, an unreadable/unwritable file or a stdout closed by its
+reader, 3 the configured truncation bounds are too tight for a
+requested computation.  JSON output is deterministic byte-for-byte for
+a fixed configuration and seed; timing is printed to the console only,
+on stderr when the JSON report goes to stdout.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace as _dc_replace
 from itertools import repeat
@@ -19,10 +21,10 @@ from itertools import repeat
 from .correspondence import MapTable
 from .errors import TruncationOverflow
 from .fock import FockIntertwiner, FockModule
-from .heisenberg import FockVector, Heisenberg
+from .heisenberg import FockVector
 from .matrices import left_entry, right_entry
 from .series import rat, rat_str
-from .suites import ConfigError, RunConfig, SUITE_NAMES, run_suites
+from .suites import ConfigError, RunConfig, SUITE_NAMES, algebra_basis, run_suites
 
 REPORT_SCHEMA = "voa-modes-report/1"
 
@@ -188,13 +190,16 @@ def cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # stdout carries nothing but the report when the report goes there
+    console = sys.stderr if args.json == "-" else sys.stdout
+
     def echo(report):
         status = "PASS" if report.ok else "FAIL"
         line = (f"{report.suite:<20} {status}  cases={report.cases}"
                 f"  [{report.wall_ms:.0f} ms]")
-        print(line)
+        print(line, file=console)
         if not report.ok:
-            print(f"  first failure: {report.first_failure}")
+            print(f"  first failure: {report.first_failure}", file=console)
 
     try:
         reports = run_suites(cfg, echo=echo)
@@ -253,8 +258,7 @@ def cmd_tables(args) -> int:
 
 
 def _table_rows(cfg: RunConfig, target: str):
-    voa = Heisenberg(weight_cap=max(cfg.l_max, 2 * cfg.max_v_weight + 2 * cfg.n))
-    vb = voa.basis_upto(cfg.max_v_weight)
+    vb = algebra_basis(cfg.max_v_weight)
     rows = []
     idx = range(cfg.n + 1)
     if target == "algebra":
@@ -389,7 +393,33 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+        print("output error: stdout was closed before the output was written",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    return code
+
+
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at the null device.
+
+    What the stream still buffers then goes nowhere at exit, instead of
+    failing a second time on the closed pipe.  A stream with no file
+    descriptor of its own is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ A map table is the finite data of a module map out of the tensor
 product: its values on generators [w1]_{kl} (x) w2 with w2 of level l.
 `MapTable.from_intertwiner` fills a table from an intertwiner by
 evaluating theta; the inverse direction reads the table entries as the
-zero-log modes of a reconstructed operator and assembles its series.
+modes of a reconstructed operator and assembles its series.
 Certification checks the residue-level Jacobi identity and the
 L(-1)-derivative property of the reconstruction directly on the table,
 and the round trip lands back on the table entry by entry.
@@ -25,7 +25,7 @@ from .heisenberg import (
     weight_of,
     zero_vector,
 )
-from .series import LogLaurent, gen_binomial, rat, rat_str
+from .series import Laurent, gen_binomial, rat, rat_str
 
 Q = Fraction
 
@@ -140,12 +140,12 @@ class MapTable:
 
 
 def yf_series(f: MapTable, w1: FockVector, w2: FockVector,
-              lo=None, hi=None) -> LogLaurent:
+              lo=None, hi=None) -> Laurent:
     """The reconstructed operator's series on w1 (x) w2.
 
-    For semisimple L(0) (log order zero, the shipped case) the series is
-    sum_k f([w1]_{kl} (x) w2) x^(h3-h2-l+k-wt w1) over each level l of w2;
-    a window [lo, hi] restricts the exponents, defaulting to everything
+    L(0) is semisimple, so the series has no log x terms: it is
+    sum_k f([w1]_{kl} (x) w2) x^(h3-h2-l+k-wt w1) over each level l of w2.
+    A window [lo, hi] restricts the exponents, defaulting to everything
     the table knows.
     """
     shift = f.target.h - f.right_input.h
@@ -168,9 +168,8 @@ def yf_series(f: MapTable, w1: FockVector, w2: FockVector,
                 val = f.value(k, l, w1_a, w2_l)
                 if val.is_zero():
                     continue
-                key = (e, 0)
-                out[key] = out[key] + val if key in out else val
-    return LogLaurent(out)
+                out[e] = out[e] + val if e in out else val
+    return Laurent(out)
 
 
 # ---------------------------------------------------------------------------

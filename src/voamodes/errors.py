@@ -5,14 +5,6 @@ class TruncationOverflow(Exception):
     """A requested result lies above the configured weight/level cap."""
 
 
-class LogPresent(Exception):
-    """Residue requested on a series that still carries log-variable terms."""
-
-
-class LogOrderExceeded(Exception):
-    """A log-coefficient index beyond the declared log order was requested."""
-
-
 class NonHomogeneous(Exception):
     """An operation requiring a homogeneous vector got a mixed one."""
 

@@ -14,8 +14,11 @@ The evaluation maps turn doubly indexed matrices into operators:
     theta of intertwiner   same with the exponent shifted by the lowest
                            weights of source and target.
 
-The contragredient module is realized on the same partition basis via
-the pairing with a(n)* = a(-n) and <|q>,|q>> = 1.
+The algebra V is F(0) as a module over itself: its modes are those of
+FockModule(0), and its vertex operator is the series of
+FockIntertwiner(0, 0).  The contragredient module is realized on the
+same partition basis via the pairing with a(n)* = a(-n) and
+<|q>,|q>> = 1.
 """
 
 from __future__ import annotations
@@ -23,21 +26,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import LogOrderExceeded, TruncationOverflow
+from .errors import TruncationOverflow
 from .heisenberg import (
     _EXPAND_CACHE,
     FockVector,
     _acc,
     _add_into,
     _canon,
-    _scale_terms,
     _trusted_vector,
     expand_pair,
     partitions_of,
     sugawara_l,
     zero_vector,
 )
-from .series import LogLaurent, rat, rat_str
+from .series import Laurent, rat, rat_str
 
 Q = Fraction
 
@@ -74,6 +76,23 @@ def _pair_sum(v_terms: dict, lam1, w_items, lam2, scale, t_of_level) -> dict:
             if got:
                 _add_into(out, got, cv * cw * scale)
     return out
+
+
+def mode_series(v_terms: dict, lam1, w_terms: dict, lam2, t_hi: int, scale=1) -> dict:
+    """{t: terms} of the x^(lam1*lam2 + t) coefficients of scale * Y(v, x) w, t <= t_hi.
+
+    v = sum cv a(-nu)|lam1> and w = sum cw a(-mu)|lam2> are given by
+    their terms.  Each pair is one engine read up to level
+    sum(nu) + sum(mu) + t_hi.  The term dicts are fresh and canonical,
+    and zero coefficients are absent.
+    """
+    by_t: dict = {}
+    for nu, cv in v_terms.items():
+        for mu, cw in w_terms.items():
+            pairs = expand_pair(nu, lam1, mu, lam2, sum(nu) + sum(mu) + t_hi)
+            for t, terms in pairs.items():
+                _add_into(by_t.setdefault(t, {}), terms, cv * cw * scale)
+    return {t: terms for t, terms in by_t.items() if terms}
 
 
 def _check_result_level(v: FockVector, w: FockVector, t: int, cap: int, what: str) -> None:
@@ -243,13 +262,12 @@ class FockModule:
 class FockIntertwiner:
     """Free-field intertwiner of type (F(q1+q2); F(q1) F(q2)).
 
-    Log order is 0: the shipped modules have semisimple L(0), so the
-    log-index-k modes vanish for k >= 1.  `scale` multiplies the whole
-    operator (the fusion space is one-dimensional; scale 1 pins the
-    leading coefficient of Y(|q1>,x)|q2> to 1).
+    The modules have semisimple L(0), so the operator has no log x
+    terms.  `scale` multiplies the whole operator (the fusion space is
+    one-dimensional; scale 1 pins the leading coefficient of
+    Y(|q1>,x)|q2> to 1).  FockIntertwiner(0, 0) is the vertex operator
+    of the algebra V = F(0).
     """
-
-    log_order = 0
 
     def __init__(self, lam1, lam2, level_cap: int = 6, scale=1):
         self.lam1 = rat(lam1)
@@ -266,14 +284,10 @@ class FockIntertwiner:
         """h2 - h3: the lowest-weight shift entering the residue exponents."""
         return self.right_input.h - self.target.h
 
-    def mode(self, k: int, m, w1: FockVector, w2: FockVector) -> FockVector:
-        """The log-index-k mode Y_{m,k}(w1) w2 (weight wt w1 + wt w2 - m - 1)."""
+    def mode(self, m, w1: FockVector, w2: FockVector) -> FockVector:
+        """The mode Y_m(w1) w2, of weight wt w1 + wt w2 - m - 1."""
         if w1.charge != self.lam1 or w2.charge != self.lam2:
             raise ValueError("intertwiner modes take (source, right input) vectors")
-        if k > self.log_order:
-            raise LogOrderExceeded(f"log index {k} > declared order {self.log_order}")
-        if k >= 1:
-            return self.target.zero()
         m = rat(m)
         t = -m - 1 - self.base_exponent
         if t.denominator != 1:
@@ -283,38 +297,27 @@ class FockIntertwiner:
         return _trusted_vector(self.lam3, _pair_sum(
             w1.terms, self.lam1, w2.terms.items(), self.lam2, self.scale, lambda a: t))
 
-    def series(self, w1: FockVector, w2: FockVector, lo, hi) -> LogLaurent:
+    def series(self, w1: FockVector, w2: FockVector, lo, hi) -> Laurent:
         """Y(w1, x) w2 over the exponent window [lo, hi]."""
         if w1.charge != self.lam1 or w2.charge != self.lam2:
             raise ValueError("intertwiner series take (source, right input) vectors")
         lo = rat(lo)
-        hi = rat(hi)
+        t_hi = (rat(hi) - self.base_exponent).__floor__()
+        _check_result_level(w1, w2, t_hi, self.level_cap, "series window")
         out: dict = {}
-        for nu, c1 in w1.terms.items():
-            for mu, c2 in w2.terms.items():
-                base = sum(nu) + sum(mu)
-                t_hi = (hi - self.base_exponent).__floor__()
-                if base + t_hi > self.level_cap:
-                    raise TruncationOverflow("series window exceeds the level cap")
-                pairs = expand_pair(nu, self.lam1, mu, self.lam2, base + t_hi)
-                for t, terms in pairs.items():
-                    s = self.base_exponent + t
-                    if lo <= s <= hi:
-                        key = (s, 0)
-                        piece = FockVector(self.lam3,
-                                           _scale_terms(terms, c1 * c2 * self.scale))
-                        if key in out:
-                            out[key] = out[key] + piece
-                        else:
-                            out[key] = piece
-        return LogLaurent(out)
+        for t, terms in mode_series(w1.terms, self.lam1, w2.terms, self.lam2, t_hi,
+                                    self.scale).items():
+            s = self.base_exponent + t
+            if s >= lo:
+                out[s] = _trusted_vector(self.lam3, terms)
+        return Laurent(out)
 
     def theta(self, k: int, l: int, w1: FockVector, w2: FockVector) -> FockVector:
         """Evaluation of [w1]_{kl}: kills w2 off level l, lands in level k.
 
-        Extracts the residue of x^(h2 - h3 + l - k - 1) Y(x^{L(0)} w1, x) w2
-        at log-power zero; the target is a single congruence class.  Since
-        h1 + h2 - h3 = -lam1 lam2, a(-nu)|lam1> of level a contributes its
+        Extracts the residue of x^(h2 - h3 + l - k - 1) Y(x^{L(0)} w1, x) w2;
+        the target is a single congruence class.  Since h1 + h2 - h3 =
+        -lam1 lam2, a(-nu)|lam1> of level a contributes its
         x^(lam1 lam2 + k - l - a) coefficient: one engine read at level k.
         """
         if w1.charge != self.lam1 or w2.charge != self.lam2:
@@ -331,31 +334,22 @@ class FockIntertwiner:
 
 
 def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,
-                    lo: int, hi: int) -> LogLaurent:
-    """Y(w, x)v on the right: e^{x L(-1)} Y_W(v, -x) w, over [lo, hi]."""
+                    lo: int, hi: int) -> Laurent:
+    """Y(w, x)v on the right: e^{x L(-1)} Y_W(v, -x) w, over [lo, hi].
+
+    The modes of Y_W(v, z) w come from `mode_series`; the exponential of
+    L(-1) is applied with the Sugawara operator.
+    """
     if w.charge != module.lam or v.charge != 0:
         raise ValueError("right vertex operator takes (module, algebra) vectors")
-    # modes of Y_W(v, z) w, z-exponent t
-    by_t: dict = {}
-    for nu, cv in v.terms.items():
-        for mu, cw in w.terms.items():
-            base = sum(nu) + sum(mu)
-            if base + hi > module.level_cap:
-                raise TruncationOverflow("window exceeds the level cap")
-            for t, terms in expand_pair(nu, 0, mu, module.lam, base + hi).items():
-                piece = FockVector(module.lam, _scale_terms(terms, cv * cw))
-                by_t[t] = by_t.get(t, module.zero()) + piece
+    _check_result_level(v, w, hi, module.level_cap, "window")
     out: dict = {}
-    for t, vec in sorted(by_t.items()):
-        if vec.is_zero():
-            continue
-        sign = Q(-1) if t % 2 else Q(1)
-        cur = vec.scale(sign)
+    for t, terms in sorted(mode_series(v.terms, 0, w.terms, module.lam, hi).items()):
+        cur = _trusted_vector(module.lam, terms).scale(-1 if t % 2 else 1)
         a = 0
-        while t + a <= hi:
-            if t + a >= lo and not cur.is_zero():
-                key = (Q(t + a), 0)
-                out[key] = out.get(key, module.zero()) + cur
+        while t + a <= hi and not cur.is_zero():
+            if t + a >= lo:
+                _add_into(out.setdefault(t + a, {}), cur.terms)
             a += 1
             cur = sugawara_l(-1, cur).scale(Q(1, a))
-    return LogLaurent(out)
+    return Laurent({s: _trusted_vector(module.lam, terms) for s, terms in out.items()})

@@ -55,7 +55,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .errors import NonHomogeneous, TruncationOverflow
-from .series import LogLaurent, rat, rat_str
+from .series import rat, rat_str
 
 Q = Fraction
 
@@ -154,10 +154,6 @@ def _add_into(target: dict, terms: dict, s=1) -> None:
     elif s != 0:
         for p, c in terms.items():
             _acc(target, p, c * s)
-
-
-def _max_part(terms: dict) -> int:
-    return max((p[0] for p in terms if p), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +282,9 @@ def _annihilation_stage(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction) ->
                 nxt: dict = {}
                 if p2:
                     _add_into(nxt, terms, sign * p2)
-                for k in range(1, _max_part(terms) + 1):
-                    hit = apply_annihilator(k, terms)
-                    if hit:
-                        _add_into(nxt, hit, sign * q2 * comb(k + ni - 1, ni - 1))
+                for k in sorted({part for p in terms for part in p}):
+                    _add_into(nxt, apply_annihilator(k, terms),
+                              sign * q2 * comb(k + ni - 1, ni - 1))
                 terms = nxt
                 if not terms:
                     break
@@ -539,7 +534,7 @@ def weight_of(vec: FockVector) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the vertex operator algebra proper
+# distinguished vectors of the algebra V = F(0)
 
 
 def vacuum() -> FockVector:
@@ -548,78 +543,3 @@ def vacuum() -> FockVector:
 
 def conformal_vector() -> FockVector:
     return FockVector(0, {(1, 1): Q(1, 2)})
-
-
-class Heisenberg:
-    """The rank-1 Heisenberg vertex operator algebra, central charge 1.
-
-    `weight_cap` bounds the weights the public operations may produce;
-    exceeding it raises TruncationOverflow rather than truncating.
-    """
-
-    def __init__(self, weight_cap: int = 6):
-        if weight_cap < 4:
-            raise ValueError("weight_cap must be at least 4")
-        self.weight_cap = weight_cap
-
-    def basis(self, weight: int):
-        return [FockVector.basis(0, p) for p in partitions_of(weight)]
-
-    def basis_upto(self, weight: int):
-        return [v for n in range(weight + 1) for v in self.basis(n)]
-
-    def mode(self, v: FockVector, n: int, u: FockVector) -> FockVector:
-        """(Y_V)_n(v) u, the x^(-n-1) coefficient of Y_V(v, x)u.
-
-        Components of negative weight vanish identically (V is lower
-        bounded); components above the cap are an error.
-        """
-        if v.charge != 0 or u.charge != 0:
-            raise ValueError("algebra modes act on charge-0 vectors")
-        out: dict = {}
-        t = -n - 1
-        for nu, cv in v.terms.items():
-            for mu, cu in u.terms.items():
-                lev = sum(nu) + sum(mu) + t
-                if lev < 0:
-                    continue
-                if lev > self.weight_cap:
-                    raise TruncationOverflow(
-                        f"mode result weight {lev} exceeds cap {self.weight_cap}")
-                got = expand_pair(nu, 0, mu, 0, lev).get(t)
-                if got:
-                    _add_into(out, got, cv * cu)
-        return FockVector(0, out)
-
-    def l0(self, v: FockVector) -> FockVector:
-        return self.mode(conformal_vector(), 1, v)
-
-    def l1(self, v: FockVector) -> FockVector:
-        return self.mode(conformal_vector(), 2, v)
-
-    def lm1(self, v: FockVector) -> FockVector:
-        return self.mode(conformal_vector(), 0, v)
-
-    def vertex_series(self, v: FockVector, u: FockVector, lo: int,
-                      hi: int) -> LogLaurent:
-        """Y_V(v, x)u over the integer exponent window [lo, hi]."""
-        if v.charge != 0 or u.charge != 0:
-            raise ValueError("algebra vertex operators act on charge-0 vectors")
-        for nu in v.terms:
-            for mu in u.terms:
-                if sum(nu) + sum(mu) + hi > self.weight_cap:
-                    raise TruncationOverflow(
-                        "series window exceeds the weight cap")
-        out: dict = {}
-        for nu, cv in v.terms.items():
-            for mu, cu in u.terms.items():
-                pairs = expand_pair(nu, 0, mu, 0, sum(nu) + sum(mu) + hi)
-                for t, terms in pairs.items():
-                    if lo <= t <= hi:
-                        key = (Q(t), 0)
-                        piece = FockVector(0, _scale_terms(terms, cv * cu))
-                        if key in out:
-                            out[key] = out[key] + piece
-                        else:
-                            out[key] = piece
-        return LogLaurent(out)

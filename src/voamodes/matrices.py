@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fock import FockIntertwiner, FockModule, right_vertex_op
+from .fock import FockIntertwiner, FockModule, mode_series, right_vertex_op
 from .heisenberg import (
     FockVector,
     _add_into,
@@ -46,7 +46,7 @@ from .heisenberg import (
     weight_of,
     zero_vector,
 )
-from .series import LogLaurent, binom_series, gen_binomial, rat
+from .series import Laurent, binom_series, gen_binomial, rat
 
 Q = Fraction
 
@@ -175,17 +175,6 @@ def _residue_weights(k: int, n: int, l: int, e: int) -> dict:
     return {s: _canon(c) for s, c in out.items() if c != 0}
 
 
-def _wv_modes(w: FockVector, v: FockVector, t_hi: int) -> dict:
-    """{t: terms} modes of Y_W(v, z) w with z-exponent at most t_hi."""
-    by_t: dict = {}
-    for nu, cv in v.terms.items():
-        for mu, cw in w.terms.items():
-            base = sum(nu) + sum(mu)
-            for t, terms in expand_pair(nu, 0, mu, w.charge, base + t_hi).items():
-                _add_into(by_t.setdefault(t, {}), terms, cv * cw)
-    return {t: terms for t, terms in by_t.items() if terms}
-
-
 def _residue_against(stuff: dict, charge, k: int, n: int, l: int) -> FockVector:
     """Res_x T_{k+l+1}((x+1)^(-k+n-l-1)) (1+x)^k * sum_s stuff[s] x^s.
 
@@ -210,7 +199,8 @@ def _conjugated_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     """
     stuff: dict = {}
     for h in v.levels():
-        for t, terms in _wv_modes(w, v.level_component(h), t_hi).items():
+        v_h = v.level_component(h)
+        for t, terms in mode_series(v_h.terms, 0, w.terms, w.charge, t_hi).items():
             sign = Q(-1) if t % 2 else Q(1)
             for j in range(0, t_hi - t + 1):
                 cj = gen_binomial(-h - t, j)
@@ -233,19 +223,16 @@ def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
     out the (1+x) powers as honest series products.
     """
     t_hi = k + l
-    acc = LogLaurent()
+    acc = Laurent()
     for h in v.levels():
-        for t, terms in _wv_modes(w, v.level_component(h), t_hi).items():
+        v_h = v.level_component(h)
+        for t, terms in mode_series(v_h.terms, 0, w.terms, w.charge, t_hi).items():
             # (1+x)^{-h} * z^t = (-1)^t x^t (1+x)^{-t-h}
             sign = Q(-1) if t % 2 else Q(1)
             vec = FockVector(w.charge, terms).scale(sign)
             expanded = binom_series(-t - h, max(0, t_hi - t)).shift(t)
-            term = LogLaurent({(Q(0), 0): vec}).mul_scalar_series(expanded)
-            acc = acc + term
-    stuff = {}
-    for (e, logp), vec in acc.terms.items():
-        if logp == 0 and e.denominator == 1:
-            stuff[int(e)] = vec.terms
+            acc = acc + Laurent({Q(0): vec}).mul_scalar_series(expanded)
+    stuff = {int(e): vec.terms for e, vec in acc.terms.items() if e.denominator == 1}
     return _residue_against(stuff, w.charge, k, n, l)
 
 
@@ -285,7 +272,7 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     assembled: dict = {}
     for d, wv in dressed.items():
         ser = right_vertex_op(scratch, wv, v, lowest, t_hi - d)
-        for (e, logp), vec in ser.terms.items():
+        for e, vec in ser.terms.items():
             s = int(e) + d
             if s <= t_hi:
                 assembled[s] = assembled.get(s, zero_vector(charge)) + vec

@@ -1,11 +1,11 @@
-"""Exact formal Laurent/log series calculus over the rationals.
+"""Exact formal Laurent series calculus over the rationals.
 
-A series is a finite map from (exponent, logpow) keys to coefficients.
-Exponents are `Fraction`s (so x^(1/8) is a legal monomial), logpow is the
-power of log x.  Coefficients live in any abelian group written
-additively in Python: `Fraction`s, or the sparse vectors from the
-oscillator modules.  Nothing here is ever rounded; zero coefficients are
-dropped eagerly so equality is plain dict equality.
+A series is a finite map from exponents to coefficients.  Exponents are
+`Fraction`s (so x^(1/8) is a legal monomial).  No log x terms occur:
+every module shipped here has semisimple L(0).  Coefficients live in any
+abelian group written additively in Python: `Fraction`s, or the sparse
+vectors from the oscillator modules.  Nothing here is ever rounded; zero
+coefficients are dropped eagerly so equality is plain dict equality.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-
-from .errors import LogPresent
 
 Q = Fraction
 
@@ -57,11 +55,11 @@ def _binom_cached(a: Fraction, m: int) -> Fraction:
     return num / factorial(m)
 
 
-class LogLaurent:
-    """Finitely supported sum  c_{s,k} * x^s * (log x)^k.
+class Laurent:
+    """Finitely supported sum  c_s * x^s  over rational exponents s.
 
-    Immutable; arithmetic returns new instances.  `terms` maps
-    (Fraction exponent, int logpow) to a nonzero coefficient.
+    Immutable; arithmetic returns new instances.  `terms` maps a
+    Fraction exponent to a nonzero coefficient.
     """
 
     __slots__ = ("terms",)
@@ -69,65 +67,61 @@ class LogLaurent:
     def __init__(self, terms=None):
         cleaned = {}
         if terms:
-            for (exp, logpow), coeff in terms.items():
+            for exp, coeff in terms.items():
                 if _is_zero(coeff):
                     continue
-                cleaned[(Q(exp), int(logpow))] = coeff
+                cleaned[Q(exp)] = coeff
         object.__setattr__(self, "terms", cleaned)
 
     def __setattr__(self, *a):
-        raise AttributeError("LogLaurent is immutable")
+        raise AttributeError("Laurent is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def monomial(cls, coeff, exponent, logpow: int = 0):
-        return cls({(rat(exponent), logpow): coeff})
+    def monomial(cls, coeff, exponent):
+        return cls({rat(exponent): coeff})
 
     # -- ring-module structure --------------------------------------------
 
-    def __add__(self, other: "LogLaurent") -> "LogLaurent":
+    def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             cur = out.get(key)
             out[key] = coeff if cur is None else cur + coeff
-        return LogLaurent(out)
+        return Laurent(out)
 
-    def __sub__(self, other: "LogLaurent") -> "LogLaurent":
+    def __sub__(self, other: "Laurent") -> "Laurent":
         return self + other.scale(Q(-1))
 
-    def scale(self, scalar) -> "LogLaurent":
+    def scale(self, scalar) -> "Laurent":
         scalar = rat(scalar)
         if scalar == 0:
-            return LogLaurent()
-        return LogLaurent({k: _scale_coeff(c, scalar) for k, c in self.terms.items()})
+            return Laurent()
+        return Laurent({e: _scale_coeff(c, scalar) for e, c in self.terms.items()})
 
-    def shift(self, exponent) -> "LogLaurent":
+    def shift(self, exponent) -> "Laurent":
         """Multiply by x^exponent."""
         d = rat(exponent)
-        return LogLaurent({(e + d, k): c for (e, k), c in self.terms.items()})
+        return Laurent({e + d: c for e, c in self.terms.items()})
 
-    def mul_scalar_series(self, other: "LogLaurent") -> "LogLaurent":
+    def mul_scalar_series(self, other: "Laurent") -> "Laurent":
         """Multiply by a series with Fraction coefficients (on the left)."""
         out = {}
-        for (e1, k1), c1 in other.terms.items():
+        for e1, c1 in other.terms.items():
             if not isinstance(c1, Fraction) and not isinstance(c1, int):
                 raise TypeError("left factor must have scalar coefficients")
-            for (e2, k2), c2 in self.terms.items():
-                key = (e1 + e2, k1 + k2)
+            for e2, c2 in self.terms.items():
+                key = e1 + e2
                 piece = _scale_coeff(c2, Q(c1))
                 cur = out.get(key)
                 out[key] = piece if cur is None else cur + piece
-        return LogLaurent(out)
+        return Laurent(out)
 
     # -- queries -----------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, LogLaurent) and self.terms == other.terms
+        return isinstance(other, Laurent) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -135,28 +129,22 @@ class LogLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exponent, logpow: int = 0):
-        return self.terms.get((rat(exponent), logpow))
+    def coeff(self, exponent):
+        return self.terms.get(rat(exponent))
 
     def exponents(self):
-        return sorted({e for e, _ in self.terms})
+        return sorted(self.terms)
 
-    def max_logpow(self) -> int:
-        return max((k for _, k in self.terms), default=0)
-
-    def truncate_above(self, exponent) -> "LogLaurent":
+    def truncate_above(self, exponent) -> "Laurent":
         """Drop all terms with exponent strictly above the given bound."""
         bound = rat(exponent)
-        return LogLaurent({k: c for k, c in self.terms.items() if k[0] <= bound})
+        return Laurent({e: c for e, c in self.terms.items() if e <= bound})
 
     def __repr__(self):
         if not self.terms:
-            return "LogLaurent(0)"
-        bits = []
-        for (e, k) in sorted(self.terms):
-            mono = f"x^{rat_str(e)}" + (f"(log x)^{k}" if k else "")
-            bits.append(f"[{self.terms[(e, k)]}]*{mono}")
-        return "LogLaurent(" + " + ".join(bits) + ")"
+            return "Laurent(0)"
+        bits = [f"[{self.terms[e]}]*x^{rat_str(e)}" for e in sorted(self.terms)]
+        return "Laurent(" + " + ".join(bits) + ")"
 
 
 def _is_zero(coeff) -> bool:
@@ -171,26 +159,17 @@ def _scale_coeff(coeff, scalar: Fraction):
     return coeff.scale(scalar)
 
 
-def residue(series: LogLaurent, zero=Q(0)):
-    """Coefficient of x^-1.  Rejects series still carrying log x.
+def residue(series: Laurent, zero=Q(0)):
+    """Coefficient of x^-1.
 
     `zero` is returned when the term is absent; pass the zero of the
     coefficient space for vector-valued series.
     """
-    if series.max_logpow() > 0:
-        raise LogPresent("extract a log coefficient before taking residues")
-    value = series.coeff(Q(-1), 0)
+    value = series.coeff(Q(-1))
     return zero if value is None else value
 
 
-def coeff_log(series: LogLaurent, k: int) -> LogLaurent:
-    """The plain Laurent series multiplying (log x)^k."""
-    return LogLaurent(
-        {(e, 0): c for (e, kk), c in series.terms.items() if kk == k}
-    )
-
-
-def truncated_taylor(alpha: int, order: int) -> LogLaurent:
+def truncated_taylor(alpha: int, order: int) -> Laurent:
     """Taylor polynomial in x^-1 of the given order of (x+1)^alpha.
 
     Expanding (x+1)^alpha = sum_m C(alpha,m) x^(alpha-m), the term x^(alpha-m)
@@ -202,11 +181,11 @@ def truncated_taylor(alpha: int, order: int) -> LogLaurent:
     for m in range(0, alpha + order + 1):
         c = gen_binomial(alpha, m)
         if c != 0:
-            out[(Q(alpha - m), 0)] = c
-    return LogLaurent(out)
+            out[Q(alpha - m)] = c
+    return Laurent(out)
 
 
-def binom_series(alpha, maxdeg: int) -> LogLaurent:
+def binom_series(alpha, maxdeg: int) -> Laurent:
     """(1+x)^alpha as a power series in x, truncated at degree maxdeg.
 
     alpha may be any exact rational; the coefficients are the generalized
@@ -217,5 +196,5 @@ def binom_series(alpha, maxdeg: int) -> LogLaurent:
     for m in range(0, maxdeg + 1):
         c = gen_binomial(alpha, m)
         if c != 0:
-            out[(Q(m), 0)] = c
-    return LogLaurent(out)
+            out[Q(m)] = c
+    return Laurent(out)

@@ -1,11 +1,21 @@
 import pytest
 
-from voamodes import heisenberg
+from voamodes import heisenberg, matrices, series
 
 
 def _clear_engine_caches():
     heisenberg._EXPAND_CACHE.clear()
     heisenberg._DRESSING_CACHE.clear()
+
+
+def _clear_caches():
+    _clear_engine_caches()
+    series._binom_cached.cache_clear()
+    matrices._left_entry_cached.cache_clear()
+    matrices._right_entry_cached.cache_clear()
+    matrices._conjugated_series.cache_clear()
+    matrices._right_op_series.cache_clear()
+    matrices._residue_weights.cache_clear()
 
 
 @pytest.fixture
@@ -14,3 +24,9 @@ def clear_engine_caches():
     _clear_engine_caches()
     yield _clear_engine_caches
     _clear_engine_caches()
+
+
+@pytest.fixture
+def clear_caches():
+    """Yields the reset of every cache of the package; the test calls it."""
+    return _clear_caches

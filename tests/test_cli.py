@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voamodes.cli import _dump_json, main
-from voamodes.suites import ConfigError, RunConfig
+from voamodes.suites import SUITE_NAMES, ConfigError, RunConfig, run_suites
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "voamodes" / "schemas"
@@ -158,6 +159,18 @@ def test_full_run_at_smaller_scale(tmp_path):
     assert len(payload["suites"]) == 14
 
 
+def test_results_independent_of_suite_order(clear_caches):
+    # every suite at N=1, each order starting from empty caches
+    def rows(order):
+        clear_caches()
+        cfg = RunConfig(n=1, suites=tuple(order)).validate()
+        return {r.suite: r.row() for r in run_suites(cfg)}
+
+    forward = rows(SUITE_NAMES)
+    assert list(forward) == list(SUITE_NAMES)
+    assert rows(reversed(SUITE_NAMES)) == forward
+
+
 def test_workers_flag_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", *FAST, "--workers", "4", "--json", str(a)]) == 0
@@ -257,3 +270,36 @@ def test_dump_json_to_stdout(capsys):
     assert _dump_json(payload, "-")
     assert capsys.readouterr().out == \
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_json_to_stdout_is_the_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", *FAST, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", *FAST, "--json", "-"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == json.loads(out.read_text())
+    assert captured.out == out.read_text()
+    # the per-suite console lines move to stderr
+    assert "binomial-218" in captured.err and "PASS" in captured.err
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--target", "algebra", "--N", "0", "--max-v-weight", "1",
+     "--json", "-"],
+    ["verify", "--suite", "binomial-218"],
+], ids=["tables-json", "verify-echo"])
+def test_closed_stdout_exit_code(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(argv) == 2
+    assert "stdout" in _assert_one_line_error(capsys)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voamodes import heisenberg
-from voamodes.errors import LogOrderExceeded, TruncationOverflow
+from voamodes.errors import TruncationOverflow
 from voamodes.fock import (
     FockIntertwiner,
     FockModule,
@@ -230,10 +230,10 @@ def test_mode_truncation():
     Y = FockIntertwiner(Q(1, 2), Q(1), level_cap=3)
     w1 = Y.source.highest()
     w2 = Y.right_input.highest() + Y.right_input.basis(2)[0]
-    assert Y.mode(0, Q(-5, 2), w1, w2).levels() == [1, 3]
+    assert Y.mode(Q(-5, 2), w1, w2).levels() == [1, 3]
     with pytest.raises(TruncationOverflow):
-        Y.mode(0, Q(-7, 2), w1, w2)
-    assert Y.mode(0, Q(3, 2), w1, w2).is_zero()
+        Y.mode(Q(-7, 2), w1, w2)
+    assert Y.mode(Q(3, 2), w1, w2).is_zero()
 
 
 def _warm(clear, nu, lam1, mu, lam2, warm):
@@ -313,7 +313,7 @@ def test_intertwiner_zero_charge_reduction():
         for w in M.basis(lev):
             for v in [ONE, A1, OM]:
                 for m in range(-2, 3):
-                    assert Y0.mode(0, m, v, w) == M.mode(v, m, w)
+                    assert Y0.mode(m, v, w) == M.mode(v, m, w)
 
 
 def test_intertwiner_exponent_lattice():
@@ -323,19 +323,17 @@ def test_intertwiner_exponent_lattice():
     for e in ser.exponents():
         assert (e - Q(1, 2)).denominator == 1
     # off-lattice modes vanish
-    assert Y.mode(0, Q(1, 3), Y.source.highest(), Y.right_input.highest()).is_zero()
+    assert Y.mode(Q(1, 3), Y.source.highest(), Y.right_input.highest()).is_zero()
 
 
-def test_intertwiner_log_modes():
+def test_intertwiner_lowest_mode():
     Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=8)
     w1, w2 = Y.source.highest(), Y.right_input.highest()
-    assert Y.mode(0, Q(-5, 4), w1, w2) == Y.target.highest()
-    with pytest.raises(LogOrderExceeded):
-        Y.mode(1, Q(-5, 4), w1, w2)
+    assert Y.mode(Q(-5, 4), w1, w2) == Y.target.highest()
 
 
 def test_intertwiner_mode_weights():
-    # weight of Y_{m,0}(w1) w2 is wt w1 + wt w2 - m - 1, on 20 random pairs
+    # weight of Y_m(w1) w2 is wt w1 + wt w2 - m - 1, on 20 random pairs
     import random
 
     rng = random.Random(11)
@@ -349,7 +347,7 @@ def test_intertwiner_mode_weights():
         wt1, wt2 = weight_of(w1), weight_of(w2)
         r = rng.randrange(0, 5)
         m = wt1 + wt2 - (Y.target.h + r) - 1
-        got = Y.mode(0, m, w1, w2)
+        got = Y.mode(m, w1, w2)
         if not got.is_zero():
             seen_nonzero += 1
             assert weight_of(got) == wt1 + wt2 - m - 1

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from voamodes import heisenberg
 from voamodes.errors import NonHomogeneous, TruncationOverflow
-from voamodes.fock import pair_mode_terms
+from voamodes.fock import FockIntertwiner, FockModule, pair_mode_terms
 from voamodes.heisenberg import (
     FockVector,
-    Heisenberg,
     _acc,
     _add_into,
     _insert_part,
-    _max_part,
     _merge_parts,
     _scale_terms,
     apply_annihilator,
@@ -30,7 +28,8 @@ from voamodes.heisenberg import (
 )
 from voamodes.series import gen_binomial
 
-V = Heisenberg(weight_cap=10)
+# the algebra V is F(0), and its vertex operator is that of FockIntertwiner(0, 0)
+V = FockModule(0, level_cap=10)
 ONE = vacuum()
 OM = conformal_vector()
 A1 = FockVector.basis(0, (1,))
@@ -84,7 +83,7 @@ def dense_sugawara_oracle(m: int, vec: FockVector) -> FockVector:
             return _scale_terms(terms, vec.charge)
         return apply_creator(-mode, terms)
 
-    top = _max_part(vec.terms) + abs(m) + 1
+    top = max((p[0] for p in vec.terms if p), default=0) + abs(m) + 1
     for j in range(-top, top + 1):
         a, b = -j, j + m
         if a < b:
@@ -120,7 +119,7 @@ def test_vacuum_and_conformal():
     assert weight_of(ONE) == 0
     assert weight_of(OM) == 2
     assert OM.terms == {(1, 1): Q(1, 2)}
-    assert V.l1(OM).is_zero()
+    assert V.mode(OM, 2, OM).is_zero()  # L(1) om
 
 
 def test_vacuum_axioms():
@@ -140,9 +139,10 @@ def test_modes_match_virasoro_oracle():
 
 
 def test_l_operators():
-    assert V.l0(ONE).is_zero()
-    assert V.lm1(ONE).is_zero()
-    assert V.l0(FockVector.basis(0, (3,))) == FockVector.basis(0, (3,)).scale(3)
+    # L(0) and L(-1) are the modes 1 and 0 of om
+    assert V.mode(OM, 1, ONE).is_zero()
+    assert V.mode(OM, 0, ONE).is_zero()
+    assert V.mode(OM, 1, FockVector.basis(0, (3,))) == FockVector.basis(0, (3,)).scale(3)
     assert V.mode(OM, 1, A1) == A1
     assert V.mode(OM, 0, A1) == FockVector.basis(0, (2,))
 
@@ -153,7 +153,7 @@ def test_central_term():
 
 
 def test_virasoro_bracket_grid():
-    cap = V.weight_cap - 2
+    cap = V.level_cap - 2
     basis = [FockVector.basis(0, p) for n in range(cap + 1 - 2)
              for p in partitions_of(n)]
     for m in range(-2, 3):
@@ -188,12 +188,13 @@ def test_skew_symmetry_spot_check():
 
 
 def test_vertex_series_examples():
+    Y_V = FockIntertwiner(0, 0, level_cap=10)
     u = FockVector.basis(0, (2, 1))
-    ser = V.vertex_series(ONE, u, -2, 2)
+    ser = Y_V.series(ONE, u, -2, 2)
     assert ser.coeff(0) == u and ser.coeff(1) is None and ser.coeff(-1) is None
-    ser = V.vertex_series(OM, OM, -4, -4)
+    ser = Y_V.series(OM, OM, -4, -4)
     assert ser.coeff(-4) == ONE.scale(Q(1, 2))
-    ser = V.vertex_series(A1, A1, -2, -2)
+    ser = Y_V.series(A1, A1, -2, -2)
     assert ser.coeff(-2) == ONE
 
 
@@ -205,13 +206,11 @@ def test_weight_and_homogeneity():
 
 
 def test_truncation_errors():
-    small = Heisenberg(weight_cap=4)
+    small = FockModule(0, level_cap=4)
     with pytest.raises(TruncationOverflow):
         small.mode(OM, -4, OM)  # would land in weight 7
     with pytest.raises(TruncationOverflow):
-        small.vertex_series(OM, OM, 0, 3)
-    with pytest.raises(ValueError):
-        Heisenberg(weight_cap=3)
+        FockIntertwiner(0, 0, level_cap=4).series(OM, OM, 0, 3)
     # negative-weight results are genuinely zero, never an error
     assert small.mode(ONE, 5, ONE).is_zero()
 
@@ -301,7 +300,7 @@ def fraction_engine_oracle(nu, lam1, mu, lam2, max_level):
                     if lam2 != 0:
                         _add_into(nxt.setdefault(t - ni, {}), terms,
                                   lam2 * gen_binomial(-1, ni - 1))
-                    for k in range(1, _max_part(terms) + 1):
+                    for k in range(1, max((p[0] for p in terms if p), default=0) + 1):
                         hit = apply_annihilator(k, terms)
                         if hit:
                             _add_into(nxt.setdefault(t - k - ni, {}), hit,

@@ -7,7 +7,6 @@ import pytest
 from voamodes.fock import FockIntertwiner, FockModule
 from voamodes.heisenberg import (
     FockVector,
-    Heisenberg,
     conformal_vector,
     partitions_of,
     vacuum,
@@ -27,7 +26,7 @@ from voamodes.matrices import (
     right_entry,
 )
 
-V = Heisenberg(weight_cap=12)
+V = FockModule(0, level_cap=12)
 ONE = vacuum()
 OM = conformal_vector()
 A1 = FockVector.basis(0, (1,))
@@ -124,7 +123,7 @@ def test_three_forms_agree():
     rng = random.Random(5)
     pools = {lam: [b for lev in range(3)
                    for b in FockModule(lam, 8).basis(lev)] for lam in CHARGES}
-    vs = V.basis_upto(3)
+    vs = V.omega0_basis(3)
     for _ in range(20):
         lam = rng.choice(CHARGES)
         w = rng.choice(pools[lam])
@@ -229,7 +228,7 @@ def test_opposite_adjoint_calibration():
 def test_opposite_anti_homomorphism():
     rng = random.Random(17)
     probes = module_probes()
-    vs = V.basis_upto(3)
+    vs = V.omega0_basis(3)
     for _ in range(30):
         a = IndexedMatrix.single(rng.choice(vs), rng.randrange(3), rng.randrange(3))
         b = IndexedMatrix.single(rng.choice(vs), rng.randrange(3), rng.randrange(3))
@@ -265,7 +264,7 @@ def series_route_left_entry(v, w, k, n, l):
     coefficients by index arithmetic."""
     from voamodes.fock import FockModule
     from voamodes.heisenberg import weight_of, zero_vector
-    from voamodes.series import LogLaurent, binom_series, truncated_taylor
+    from voamodes.series import Laurent, binom_series, truncated_taylor
 
     M = FockModule(w.charge, level_cap=40)
     out = zero_vector(w.charge)
@@ -278,8 +277,8 @@ def series_route_left_entry(v, w, k, n, l):
         for t in range(lo, hi + 1):
             vec = M.mode(v_h, -t - 1, w)
             if not vec.is_zero():
-                modes[(t, 0)] = vec
-        ser = LogLaurent(modes)
+                modes[t] = vec
+        ser = Laurent(modes)
         # order k+l+1 makes the Taylor polynomial stop at m = n
         scalar = truncated_taylor(-k + n - l - 1, k + l + 1).mul_scalar_series(
             binom_series(l + hv, l + hv))
@@ -382,7 +381,7 @@ def _half_table():
         FockVector.basis(Q(1), (1,)), _HALF, 0, 2),
     lambda: _half_table().value(
         1, 1, FockVector.basis(Q(1), ()), FockVector.basis(Q(3), (1,))),
-    lambda: Heisenberg().vertex_series(_HALF, ONE, 0, 2),
+    lambda: FockIntertwiner(0, 0).series(_HALF, ONE, 0, 2),
     # w (or w2) has no level-3 component: the charges are checked first
     lambda: FockModule(Q(1, 2)).theta(0, 3, FockVector.basis(Q(1), (1,)), _HALF),
     lambda: FockModule(Q(1, 2)).theta(0, 3, ONE, FockVector.basis(Q(1), ())),
@@ -402,19 +401,6 @@ def _half_table():
 def test_wrong_charge_raises(call):
     with pytest.raises(ValueError):
         call()
-
-
-def _clear_caches():
-    from voamodes import heisenberg, matrices, series
-
-    heisenberg._EXPAND_CACHE.clear()
-    heisenberg._DRESSING_CACHE.clear()
-    series._binom_cached.cache_clear()
-    matrices._left_entry_cached.cache_clear()
-    matrices._right_entry_cached.cache_clear()
-    matrices._conjugated_series.cache_clear()
-    matrices._right_op_series.cache_clear()
-    matrices._residue_weights.cache_clear()
 
 
 def _assert_canonical(vec, shared=()):
@@ -443,11 +429,13 @@ def test_results_are_canonical_and_own_their_terms():
     from hypothesis import strategies as st
 
     from voamodes.correspondence import MapTable
+    from voamodes.fock import right_vertex_op
     from voamodes.heisenberg import l_zero, sugawara_l
     from voamodes.matrices import _conjugated_series, _right_op_series
 
     M = FockModule(Q(1, 2), level_cap=20)
     Y = FockIntertwiner(Q(1, 2), Q(1), level_cap=20)
+    e0 = Y.base_exponent
     table = MapTable.from_intertwiner(Y, 2, 3)
     idx = st.integers(0, 2)
 
@@ -456,12 +444,15 @@ def test_results_are_canonical_and_own_their_terms():
            _vector_strategy(Q(1)), idx, idx, idx, st.integers(-1, 1),
            st.integers(-2, 2))
     def check(u, v, w, w2, k, n, l, m, t):
-        # u, v, w and w2 come from the FockVector constructor
+        # u, v, w and w2 come from the FockVector constructor; the series
+        # coefficients come out of the {t: terms} collector
+        coeffs = [*Y.series(w, w2, e0 - 6, e0 + t).terms.values(),
+                  *right_vertex_op(M, w, v, -7, t).terms.values()]
         for vec in (u, v, w, w2, u + v, u - u, u.scale(Q(-2, 3)), u.scale(0),
                     u.level_component(2), sugawara_l(m, w), l_zero(w),
-                    M.mode(v, t, w), Y.mode(0, -t - 1 - Y.base_exponent, w, w2),
+                    M.mode(v, t, w), Y.mode(-t - 1 - e0, w, w2),
                     M.theta(k, l, v, w), M.theta_dual(k, l, v, w),
-                    Y.theta(k, l, w, w2), table.value(k, l, w, w2)):
+                    Y.theta(k, l, w, w2), table.value(k, l, w, w2), *coeffs):
             _assert_canonical(vec)
         # the cached forms over the whole index grid, the oracles at one point
         for kk, nn, ll in itertools.product(range(3), repeat=3):
@@ -485,6 +476,11 @@ def test_results_are_canonical_and_own_their_terms():
             for u in (FockVector.basis(Q(1, 2), ()), FockVector.basis(Q(1, 2), (1,))):
                 _assert_canonical(Y.theta(k, l, u, w2))
                 _assert_canonical(table.value(k, l, u, w2))
+                for vec in Y.series(u, w2, e0 - 3, e0 + k).terms.values():
+                    _assert_canonical(vec)
+            for v in (ONE, A1):
+                for vec in right_vertex_op(M, w, v, -4, k).terms.values():
+                    _assert_canonical(vec)
 
 
 def _right_entry_grid(order):
@@ -500,10 +496,10 @@ def _right_entry_grid(order):
             for form in ("conjugated", "direct", "right-op")}
 
 
-def test_right_entries_independent_of_cache_state_and_order():
-    _clear_caches()
+def test_right_entries_independent_of_cache_state_and_order(clear_caches):
+    clear_caches()
     ascending = _right_entry_grid("ascending")
-    _clear_caches()
+    clear_caches()
     descending = _right_entry_grid("descending")
     assert ascending == descending
     for (i, j, k, n, l, form), vec in ascending.items():

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voamodes.errors import LogPresent
 from voamodes.series import (
-    LogLaurent,
+    Laurent,
     binom_series,
-    coeff_log,
     gen_binomial,
     rat,
     rat_str,
@@ -37,10 +35,10 @@ def test_gen_binomial_rational():
 
 
 def test_truncated_taylor_examples():
-    assert truncated_taylor(-1, 1) == LogLaurent.monomial(Q(1), -1)
-    assert truncated_taylor(1, 0) == (LogLaurent.monomial(Q(1), 1)
-                                      + LogLaurent.monomial(Q(1), 0))
-    assert truncated_taylor(-2, 2) == LogLaurent.monomial(Q(1), -2)
+    assert truncated_taylor(-1, 1) == Laurent.monomial(Q(1), -1)
+    assert truncated_taylor(1, 0) == (Laurent.monomial(Q(1), 1)
+                                      + Laurent.monomial(Q(1), 0))
+    assert truncated_taylor(-2, 2) == Laurent.monomial(Q(1), -2)
     # empty truncation
     assert truncated_taylor(-5, 2).is_zero()
 
@@ -50,37 +48,22 @@ def test_truncated_taylor_examples():
 def test_truncated_taylor_against_full_expansion(alpha, order):
     # keep exactly the terms whose power of 1/x is at most `order`
     full = full_binomial_expansion(alpha, 25)
-    want = LogLaurent({(Q(e), 0): c for e, c in full.items() if -e <= order})
+    want = Laurent({Q(e): c for e, c in full.items() if -e <= order})
     assert truncated_taylor(alpha, order) == want
 
 
 def test_residue():
-    s = LogLaurent.monomial(Q(3), -1) + LogLaurent.monomial(Q(2), 0)
+    s = Laurent.monomial(Q(3), -1) + Laurent.monomial(Q(2), 0)
     assert residue(s) == 3
-    assert residue(LogLaurent.monomial(Q(1), Q(1, 2))) == 0
+    assert residue(Laurent.monomial(Q(1), Q(1, 2))) == 0
     assert residue(truncated_taylor(-1, 1)) == 1
 
 
-def test_residue_rejects_log_terms():
-    s = LogLaurent.monomial(Q(1), -1, logpow=1)
-    with pytest.raises(LogPresent):
-        residue(s)
-    assert residue(coeff_log(s, 1)) == 1
-
-
-def test_coeff_log():
-    s = LogLaurent.monomial(Q(5), 3)
-    assert coeff_log(s, 0) == s
-    assert coeff_log(s, 1).is_zero()
-    mixed = LogLaurent.monomial(Q(1), -1, logpow=2) + LogLaurent.monomial(Q(1), 1)
-    assert coeff_log(mixed, 2) == LogLaurent.monomial(Q(1), -1)
-
-
 def test_binom_series_examples():
-    want = (LogLaurent.monomial(Q(1), 0) + LogLaurent.monomial(Q(2), 1)
-            + LogLaurent.monomial(Q(1), 2))
+    want = (Laurent.monomial(Q(1), 0) + Laurent.monomial(Q(2), 1)
+            + Laurent.monomial(Q(1), 2))
     assert binom_series(2, 5) == want
-    assert binom_series(0, 3) == LogLaurent.monomial(Q(1), 0)
+    assert binom_series(0, 3) == Laurent.monomial(Q(1), 0)
     half = binom_series(Q(1, 2), 2)
     assert half.coeff(0) == 1
     assert half.coeff(1) == Q(1, 2)
@@ -103,7 +86,7 @@ def test_binomial_collapse_identity(a, n):
 def test_binom_series_inverse(alpha, d):
     prod = binom_series(alpha, d).mul_scalar_series(binom_series(-alpha, d))
     trimmed = prod.truncate_above(d)
-    assert trimmed == LogLaurent.monomial(Q(1), 0)
+    assert trimmed == Laurent.monomial(Q(1), 0)
 
 
 @settings(deadline=None, max_examples=30)
@@ -112,9 +95,9 @@ def test_binom_series_inverse(alpha, d):
        st.lists(st.tuples(st.integers(-4, 4), st.fractions(max_denominator=8)),
                 max_size=6))
 def test_residue_linear(terms_a, terms_b):
-    a = LogLaurent({(Q(e), 0): Q(c) for e, c in terms_a if c})
-    b = LogLaurent({(Q(e), 0): Q(c) for e, c in terms_b if c})
-    assert residue(coeff_log(a + b, 0)) == residue(a) + residue(b)
+    a = Laurent({Q(e): Q(c) for e, c in terms_a if c})
+    b = Laurent({Q(e): Q(c) for e, c in terms_b if c})
+    assert residue(a + b) == residue(a) + residue(b)
 
 
 def test_rat_roundtrip():
@@ -126,7 +109,7 @@ def test_rat_roundtrip():
 
 
 def test_series_algebra():
-    s = LogLaurent.monomial(Q(1), 1) + LogLaurent.monomial(Q(2), 2)
+    s = Laurent.monomial(Q(1), 1) + Laurent.monomial(Q(2), 2)
     t = s.scale(Q(1, 2))
     assert t.coeff(1) == Q(1, 2) and t.coeff(2) == 1
     assert (s - s).is_zero()
