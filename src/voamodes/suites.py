@@ -154,8 +154,7 @@ def algebra_basis(top: int) -> list:
 
     The seeded samples index this list, so its order fixes the report.
     """
-    V = FockModule(0)
-    return [v for n in range(top + 1) for v in V.basis(n)]
+    return FockModule(0, level_cap=top).omega0_basis(top)
 
 
 class RunContext:
