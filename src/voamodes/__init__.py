@@ -36,7 +36,6 @@ from .fock import (
 )
 from .matrices import (
     IndexedMatrix,
-    ProbeFamily,
     diamond_left,
     diamond_wv,
     identity_n,

@@ -27,6 +27,8 @@ from .series import rat, rat_str
 from .suites import ConfigError, RunConfig, SUITE_NAMES, algebra_basis, run_suites
 
 REPORT_SCHEMA = "voa-modes-report/1"
+TABLE_COLUMNS = ("action", "charge", "k", "n", "l", "left", "right", "result",
+                 "coeff")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -121,7 +123,10 @@ def _partition_str(p: tuple) -> str:
 
 
 def _write_file(path, write, newline=None) -> bool:
-    """Call write(fh) on path; an I/O error is reported as one stderr line."""
+    """Call write(fh) on path ('-' = stdout); an I/O error is one stderr line."""
+    if path == "-":
+        write(sys.stdout)
+        return True
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             write(fh)
@@ -173,10 +178,7 @@ def _dump_json(payload, path) -> bool:
         _write_json(fh.write, payload)
         fh.write("\n")
 
-    if path in (None, "-"):
-        dump(sys.stdout)
-        return True
-    return _write_file(path, dump)
+    return _write_file("-" if path is None else path, dump)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +240,8 @@ def cmd_tables(args) -> int:
     if args.csv:
         def write(fh):
             writer = csv.writer(fh)
-            writer.writerow(["action", "charge", "k", "n", "l", "left",
-                             "right", "result", "coeff"])
-            for row in rows:
-                writer.writerow(row)
+            writer.writerow(TABLE_COLUMNS)
+            writer.writerows(rows)
 
         ok = _write_file(args.csv, write, newline="")
     else:
@@ -249,9 +249,7 @@ def cmd_tables(args) -> int:
             "schema": "voa-modes-tables/1",
             "target": args.target,
             "config": cfg.echo(),
-            "rows": [dict(zip(("action", "charge", "k", "n", "l", "left",
-                               "right", "result", "coeff"), row))
-                     for row in rows],
+            "rows": [dict(zip(TABLE_COLUMNS, row)) for row in rows],
         }
         ok = _dump_json(payload, args.json)
     return EXIT_OK if ok else EXIT_CONFIG
@@ -378,7 +376,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(pt)
     pt.add_argument("--target", required=True, choices=("algebra", "bimodule"))
     pt.add_argument("--json", help="JSON output path ('-' = stdout)")
-    pt.add_argument("--csv", help="CSV output path (overrides --json)")
+    pt.add_argument("--csv", help="CSV output path ('-' = stdout; overrides --json)")
     pt.set_defaults(func=cmd_tables)
 
     pi = sub.add_parser("intertwiner", help="emit an intertwiner map table")

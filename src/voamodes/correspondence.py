@@ -12,6 +12,7 @@ and the round trip lands back on the table entry by entry.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfTable
@@ -25,7 +26,8 @@ from .heisenberg import (
     weight_of,
     zero_vector,
 )
-from .series import Laurent, gen_binomial, rat, rat_str
+from .matrices import jacobi_sums
+from .series import Laurent, rat, rat_str
 
 Q = Fraction
 
@@ -176,14 +178,20 @@ def yf_series(f: MapTable, w1: FockVector, w2: FockVector,
 # certification
 
 
-class CertReport:
-    """Outcome of a certification sweep: exact counts plus first failure."""
+@dataclass
+class SuiteReport:
+    """Outcome of a sweep: exact counts plus the first failure as recorded.
 
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.passed = 0
-        self.first_failure = None
+    A certifier's report can be absorbed into a suite's; the failure
+    detail (a string or structured data) is rendered with str() only in
+    the report row.
+    """
+
+    suite: str
+    cases: int = 0
+    passed: int = 0
+    first_failure: object = None
+    wall_ms: float = 0.0
 
     def record(self, ok: bool, detail) -> None:
         self.cases += 1
@@ -192,17 +200,28 @@ class CertReport:
         elif self.first_failure is None:
             self.first_failure = detail() if callable(detail) else detail
 
+    def absorb(self, other: "SuiteReport") -> None:
+        self.cases += other.cases
+        self.passed += other.passed
+        if self.first_failure is None:
+            self.first_failure = other.first_failure
+
     @property
     def ok(self) -> bool:
         return self.cases == self.passed
 
-    def __repr__(self):
-        status = "ok" if self.ok else f"FAIL ({self.first_failure})"
-        return f"CertReport({self.name}: {self.passed}/{self.cases} {status})"
+    def row(self) -> dict:
+        failure = self.first_failure
+        return {
+            "suite": self.suite,
+            "cases_run": self.cases,
+            "cases_passed": self.passed,
+            "first_failure": None if failure is None else str(failure),
+        }
 
 
 def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
-                   p_hi: int) -> CertReport:
+                   p_hi: int) -> SuiteReport:
     """Check the coefficient-extracted Jacobi identity on the table.
 
     For every grid point (k, l, n <= kmax; p in [p_lo, p_hi]; homogeneous v;
@@ -214,7 +233,7 @@ def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
 
     with q_j = l-n+k+p-j and all sums index-guarded.
     """
-    report = CertReport("jacobi")
+    report = SuiteReport("jacobi")
     W1, W2, W3 = f.source, f.right_input, f.target
     for v in v_list:
         hv = weight_of(v)
@@ -237,48 +256,30 @@ def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
 
 def _jacobi_point(report, f, W1, W2, W3, v, hv, w1, lev1, w2, k, l, n, p):
     L = l + p
+    left, right, modes = jacobi_sums(k, l, n, p, hv, lev1)
     lhs = f.target.zero()
-    j = 0
-    while n + p - j >= 0:
-        c = gen_binomial(p, j)
-        if c != 0:
-            mid = n + p - j
-            val = f.value(mid, L, w1, w2)
-            sign = Q(-1) if j % 2 else Q(1)
-            lhs = lhs + W3.theta(k, mid, v, val).scale(sign * c)
-        j += 1
+    for mid, c in left:
+        lhs = lhs + W3.theta(k, mid, v, f.value(mid, L, w1, w2)).scale(c)
     rhs = f.target.zero()
-    j = 0
-    while l - n + k + p - j >= 0:
-        c = gen_binomial(p, j)
-        if c != 0:
-            q = l - n + k + p - j
-            sign = Q(-1) if (p - j) % 2 else Q(1)
-            moved = W2.theta(q, L, v, w2)
-            rhs = rhs + f.value(k, q, w1, moved).scale(sign * c)
-        j += 1
-    top = lev1 + hv - 1 - p
-    for j in range(0, max(0, top) + 1):
-        c = gen_binomial(hv + n - k - 1, j)
-        if c == 0:
-            continue
-        shifted = W1.mode(v, p + j, w1)
+    for q, c in right:
+        rhs = rhs + f.value(k, q, w1, W2.theta(q, L, v, w2)).scale(c)
+    for i, c in modes:
+        shifted = W1.mode(v, i, w1)
         if not shifted.is_zero():
             rhs = rhs + f.value(k, L, shifted, w2).scale(c)
-    ok = lhs == rhs
-    report.record(ok, lambda: {
+    report.record(lhs == rhs, lambda: {
         "point": {"k": k, "l": l, "n": n, "p": p},
         "v": repr(v), "w1": repr(w1), "w2": repr(w2),
         "lhs": repr(lhs), "rhs": repr(rhs)})
 
 
-def certify_l1_derivative(f: MapTable, w1_list, w2_levels: int) -> CertReport:
+def certify_l1_derivative(f: MapTable, w1_list, w2_levels: int) -> SuiteReport:
     """d/dx of the reconstructed series against the L(-1)-shifted table.
 
     Per slot k the series coefficient sits at exponent e_k; the identity
     reads e_k * f(k, l, w1, w2) = f(k, l, L(-1) w1, w2) for every k.
     """
-    report = CertReport("l1-derivative")
+    report = SuiteReport("l1-derivative")
     shift = f.target.h - f.right_input.h
     for w1 in w1_list:
         lev1 = w1.level()
@@ -297,14 +298,14 @@ def certify_l1_derivative(f: MapTable, w1_list, w2_levels: int) -> CertReport:
     return report
 
 
-def roundtrip(f: MapTable) -> CertReport:
+def roundtrip(f: MapTable) -> SuiteReport:
     """Entry-exact comparison of the table with the map of its reconstruction.
 
     The evaluation map of the reconstructed operator extracts, per slot,
     the series coefficient at the slot's exponent; the report certifies
     it reproduces every stored entry.
     """
-    report = CertReport("roundtrip")
+    report = SuiteReport("roundtrip")
     shift = f.target.h - f.right_input.h
     for key in f.sorted_keys():
         k, l, nu, mu = key
@@ -357,14 +358,14 @@ class _Span:
 
 
 def reachability_closure(module: FockModule, n: int, generators,
-                         dual: bool = False) -> CertReport:
+                         dual: bool = False) -> SuiteReport:
     """Check the bottom levels generate everything below the cap.
 
     Starting from the levels 0..n, repeatedly applies the evaluation maps
     of single-entry matrices over the given algebra vectors and verifies
     the span reaches the full basis of every level up to the module cap.
     """
-    report = CertReport("reachability")
+    report = SuiteReport("reachability")
     cap = module.level_cap
     theta = module.theta_dual if dual else module.theta
     spans = {lev: _Span() for lev in range(cap + 1)}

@@ -311,20 +311,25 @@ def right_entry(w: FockVector, v: FockVector, k: int, n: int, l: int,
 # matrix-level products
 
 
+def _diamond(a: IndexedMatrix, b: IndexedMatrix, entry, charge) -> IndexedMatrix:
+    """sum over the middle index n of entry(a_{kn}, b_{nl}, k, n, l) at (k, l)."""
+    out: dict = {}
+    for (k, n1), x in a.entries.items():
+        for (n2, l), y in b.entries.items():
+            if n1 != n2:
+                continue
+            piece = entry(x, y, k, n1, l)
+            if not piece.is_zero():
+                key = (k, l)
+                out[key] = out[key] + piece if key in out else piece
+    return IndexedMatrix(charge, out)
+
+
 def diamond_left(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
     """Product/left action: entries of a are algebra vectors."""
     if a.charge != 0:
         raise ValueError("left factor must be a matrix over the algebra")
-    out: dict = {}
-    for (k, n1), u in a.entries.items():
-        for (n2, l), v in b.entries.items():
-            if n1 != n2:
-                continue
-            piece = left_entry(u, v, k, n1, l)
-            if not piece.is_zero():
-                key = (k, l)
-                out[key] = out[key] + piece if key in out else piece
-    return IndexedMatrix(b.charge, out)
+    return _diamond(a, b, left_entry, b.charge)
 
 
 def diamond_wv(a: IndexedMatrix, b: IndexedMatrix,
@@ -332,70 +337,64 @@ def diamond_wv(a: IndexedMatrix, b: IndexedMatrix,
     """Right action: entries of b are algebra vectors."""
     if b.charge != 0:
         raise ValueError("right factor must be a matrix over the algebra")
-    out: dict = {}
-    for (k, n1), w in a.entries.items():
-        for (n2, l), v in b.entries.items():
-            if n1 != n2:
-                continue
-            piece = right_entry(w, v, k, n1, l, form=form)
-            if not piece.is_zero():
-                key = (k, l)
-                out[key] = out[key] + piece if key in out else piece
-    return IndexedMatrix(a.charge, out)
+    return _diamond(a, b, lambda w, v, k, n, l: right_entry(w, v, k, n, l, form),
+                    a.charge)
 
 
 # ---------------------------------------------------------------------------
 # kernel elements from the Jacobi identity
 
 
+def jacobi_sums(k: int, l: int, n: int, p: int, hv: int, lev: int):
+    """The three (index, coefficient) lists of the residue-form Jacobi identity.
+
+    For v of weight hv and w of top level lev, the identity at (k, l, n, p)
+    pairs the lists with
+      sum (-1)^j C(p,j) [v]_{k,i} . [w]_{i,l+p}          (i = n+p-j)
+      sum (-1)^(p-j) C(p,j) [w]_{k,q} . [v]_{q,l+p}      (q = l-n+k+p-j)
+      sum C(hv + n - k - 1, j) [(Y)_i(v) w]_{k,l+p}      (i = p+j)
+    Matrix indices run over the naturals only, and the last sum stops at
+    j = lev + hv - 1 - p, past which the mode (Y)_{p+j}(v) w vanishes.
+    Zero coefficients are left out.
+    """
+    def signed(m, c):
+        # (-1) ** m is a float for m < 0; the parity gives the exact sign
+        return -c if m % 2 else c
+
+    left = [(n + p - j, signed(j, gen_binomial(p, j))) for j in range(n + p + 1)]
+    right = [(l - n + k + p - j, signed(p - j, gen_binomial(p, j)))
+             for j in range(l - n + k + p + 1)]
+    modes = [(p + j, gen_binomial(hv + n - k - 1, j))
+             for j in range(max(0, lev + hv - 1 - p) + 1)]
+    return tuple([(i, c) for i, c in sums if c != 0]
+                 for sums in (left, right, modes))
+
+
 def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
                           v: FockVector, w: FockVector) -> IndexedMatrix:
     """The three-sum combination sitting in every evaluation kernel.
 
-    For homogeneous v and p with l+p >= 0:
+    For homogeneous v and p with l+p >= 0 the single (k, l+p) entry of
 
-      sum_j (-1)^j C(p,j) [v]_{k,n+p-j} . [w]_{n+p-j,l+p}
-      - sum_j (-1)^(p-j) C(p,j) [w]_{k,q_j} . [v]_{q_j,l+p}    (q_j = l-n+k+p-j >= 0)
-      - sum_j C(wt v + n - k - 1, j) [(Y_W)_{p+j}(v) w]_{k,l+p}
+      first sum - second sum - third sum     (see `jacobi_sums`)
 
-    Sums over negative matrix indices are dropped (the guard on the
-    second sum, extended to the first).
+    lies in the kernel of every evaluation map.
     """
     if l + p < 0:
         raise ValueError("l + p must be a natural number")
     hv = weight_of(v)
     if hv.denominator != 1:
         raise ValueError("algebra weights are integers")
-    hv = int(hv)
-    charge = w.charge
-    acc = zero_vector(charge)
-
-    j = 0
-    while n + p - j >= 0:
-        c = gen_binomial(p, j)
-        if c != 0:
-            sign = Q(-1) if j % 2 else Q(1)
-            acc = acc + left_entry(v, w, k, n + p - j, l + p).scale(sign * c)
-        j += 1
-
-    j = 0
-    while l - n + k + p - j >= 0:
-        c = gen_binomial(p, j)
-        if c != 0:
-            q = l - n + k + p - j
-            sign = Q(-1) if (p - j) % 2 else Q(1)
-            acc = acc - right_entry(w, v, k, q, l + p).scale(sign * c)
-        j += 1
-
-    top = max(w.levels(), default=0) + hv - 1 - p
-    for j in range(0, max(0, top) + 1):
-        c = gen_binomial(hv + n - k - 1, j)
-        if c == 0:
-            continue
-        acc = acc - module.mode(v, p + j, w).scale(c)
-
-    return IndexedMatrix.single(acc, k, l + p) if not acc.is_zero() else \
-        IndexedMatrix.zero(charge)
+    left, right, modes = jacobi_sums(k, l, n, p, int(hv),
+                                     max(w.levels(), default=0))
+    acc = zero_vector(w.charge)
+    for i, c in left:
+        acc = acc + left_entry(v, w, k, i, l + p).scale(c)
+    for q, c in right:
+        acc = acc - right_entry(w, v, k, q, l + p).scale(c)
+    for i, c in modes:
+        acc = acc - module.mode(v, i, w).scale(c)
+    return IndexedMatrix.single(acc, k, l + p)
 
 
 # ---------------------------------------------------------------------------
@@ -435,45 +434,26 @@ def opposite_map(mat: IndexedMatrix, sign: str = "plus") -> IndexedMatrix:
 
 
 # ---------------------------------------------------------------------------
-# probe families
+# equality after evaluation
 
 
-class Probe:
-    """One evaluation context: an intertwiner whose source matches the matrices."""
+def first_nonzero_image(Y: FockIntertwiner, mat: IndexedMatrix):
+    """The first nonzero Y.theta(k, l, entry, w2), w2 over the level-l basis.
 
-    def __init__(self, intertwiner: FockIntertwiner, max_level: int):
-        self.intertwiner = intertwiner
-        self.max_level = max_level
-
-    def annihilates(self, mat: IndexedMatrix) -> bool:
-        Y = self.intertwiner
-        if mat.charge != Y.lam1:
-            raise ValueError("probe source charge does not match the matrix")
-        for (k, l), vec in mat.entries.items():
-            if l > self.max_level or k > Y.level_cap:
-                continue
-            for w2 in Y.right_input.basis(l):
-                if not Y.theta(k, l, vec, w2).is_zero():
-                    return False
-        return True
+    None when Y kills every entry of mat, i.e. mat lies in its kernel.
+    """
+    for (k, l), vec in mat.entries.items():
+        for w2 in Y.right_input.basis(l):
+            img = Y.theta(k, l, vec, w2)
+            if not img.is_zero():
+                return img
+    return None
 
 
-class ProbeFamily:
-    def __init__(self, probes):
-        self.probes = list(probes)
-        if not self.probes:
-            raise ValueError("a probe family must be non-empty")
-
-    @classmethod
-    def modules(cls, charges, level_cap: int, max_level: int) -> "ProbeFamily":
-        """Module-action probes for matrices over the algebra."""
-        return cls([Probe(FockIntertwiner(0, c, level_cap), max_level)
-                    for c in charges])
-
-
-def probe_equal(a: IndexedMatrix, b: IndexedMatrix, probes: ProbeFamily) -> bool:
-    """Equality after evaluation: every probe kills a - b on its basis."""
+def probe_equal(a: IndexedMatrix, b: IndexedMatrix, intertwiners) -> bool:
+    """Equality after evaluation: every intertwiner kills a - b."""
+    if not intertwiners:
+        raise ValueError("probe_equal needs at least one intertwiner")
     diff = a - b
-    if diff.is_zero():
-        return True
-    return all(p.annihilates(diff) for p in probes.probes)
+    return diff.is_zero() or all(first_nonzero_image(Y, diff) is None
+                                 for Y in intertwiners)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .correspondence import (
     MapTable,
+    SuiteReport,
     certify_jacobi,
     certify_l1_derivative,
     reachability_closure,
@@ -32,9 +33,9 @@ from .heisenberg import (
 )
 from .matrices import (
     IndexedMatrix,
-    ProbeFamily,
     diamond_left,
     diamond_wv,
+    first_nonzero_image,
     identity_n,
     jacobi_kernel_element,
     left_entry,
@@ -115,40 +116,6 @@ class RunConfig:
         }
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    cases: int = 0
-    passed: int = 0
-    first_failure: str | None = None
-    wall_ms: float = 0.0
-
-    def record(self, ok: bool, detail) -> None:
-        self.cases += 1
-        if ok:
-            self.passed += 1
-        elif self.first_failure is None:
-            self.first_failure = detail() if callable(detail) else str(detail)
-
-    def absorb(self, cert) -> None:
-        self.cases += cert.cases
-        self.passed += cert.passed
-        if cert.first_failure is not None and self.first_failure is None:
-            self.first_failure = str(cert.first_failure)
-
-    @property
-    def ok(self) -> bool:
-        return self.cases == self.passed
-
-    def row(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases_run": self.cases,
-            "cases_passed": self.passed,
-            "first_failure": self.first_failure,
-        }
-
-
 def algebra_basis(top: int) -> list:
     """The partition basis of V = F(0) at weights 0..top, weight by weight.
 
@@ -192,10 +159,9 @@ class RunContext:
             self._tables[key] = MapTable.from_intertwiner(Y, kmax, cfg.l_max)
         return self._tables[key]
 
-    def module_probes(self, max_level=None) -> ProbeFamily:
-        cap = self.cfg.l_max
-        lev = self.cfg.n if max_level is None else max_level
-        return ProbeFamily.modules(self.cfg.charges, cap, lev)
+    def module_probes(self) -> list:
+        """The module actions, read as intertwiners, that probe_equal applies."""
+        return [self.intertwiner(0, c) for c in self.cfg.charges]
 
     def rng(self) -> random.Random:
         return random.Random(self.cfg.seed)
@@ -374,20 +340,11 @@ def suite_kernel(ctx: RunContext) -> SuiteReport:
                                 if l + p < 0:
                                     continue
                                 km = jacobi_kernel_element(W1, k, l, n, p, v, w)
-                                ok, bad = _kernel_vanishes(Y, km)
-                                rep.record(ok, lambda: _render(
+                                bad = first_nonzero_image(Y, km)
+                                rep.record(bad is None, lambda: _render(
                                     "kernel", dict(Y=Y, k=k, l=l, n=n, p=p,
                                                    v=v, w=w), bad, 0))
     return rep
-
-
-def _kernel_vanishes(Y: FockIntertwiner, km: IndexedMatrix):
-    for (k, l), entry in km.entries.items():
-        for w2 in Y.right_input.basis(l):
-            img = Y.theta(k, l, entry, w2)
-            if not img.is_zero():
-                return False, img
-    return True, None
 
 
 def suite_omega_commutators(ctx: RunContext) -> SuiteReport:
@@ -410,8 +367,8 @@ def suite_omega_commutators(ctx: RunContext) -> SuiteReport:
                     rep.record(km.entry(n, l) == direct, lambda: _render(
                         "omega diagonal", dict(module=M, n=n, l=l, w=w),
                         km.entry(n, l), direct))
-                    ok, bad = _kernel_vanishes(Y, km)
-                    rep.record(ok, lambda: _render(
+                    bad = first_nonzero_image(Y, km)
+                    rep.record(bad is None, lambda: _render(
                         "omega diagonal kernel", dict(module=M, n=n, l=l, w=w),
                         bad, 0))
                     # subdiagonal: [om]_{n+1,n}.[w]_{nl} - [w]_{n+1,l+1}.[om]_{l+1,l}
@@ -423,8 +380,8 @@ def suite_omega_commutators(ctx: RunContext) -> SuiteReport:
                     rep.record(km.entry(n + 1, l) == direct, lambda: _render(
                         "omega subdiagonal", dict(module=M, n=n, l=l, w=w),
                         km.entry(n + 1, l), direct))
-                    ok, bad = _kernel_vanishes(Y, km)
-                    rep.record(ok, lambda: _render(
+                    bad = first_nonzero_image(Y, km)
+                    rep.record(bad is None, lambda: _render(
                         "omega subdiagonal kernel", dict(module=M, n=n, l=l, w=w),
                         bad, 0))
         # single-entry matrices agree with the banded matrices (the band

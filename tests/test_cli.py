@@ -107,6 +107,19 @@ def test_tables_algebra(tmp_path):
                           "coeff": "1"}]
 
 
+def test_tables_csv_to_stdout(tmp_path, monkeypatch, capfdbinary):
+    # '-' means stdout, as for --json; no file named '-' appears
+    monkeypatch.chdir(tmp_path)
+    args = ["tables", "--target", "algebra", "--N", "1", "--max-v-weight", "1"]
+    assert main([*args, "--csv", "rows.csv"]) == 0
+    capfdbinary.readouterr()
+    assert main([*args, "--csv", "-"]) == 0
+    out = capfdbinary.readouterr().out
+    assert out.startswith(b"action,charge,k,n,l,left,right,result,coeff\r\n")
+    assert out == (tmp_path / "rows.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
+
+
 def test_tables_bimodule(tmp_path):
     out = tmp_path / "bim.json"
     args = ["tables", "--target", "bimodule", "--N", "1", "--max-v-weight", "2",

@@ -1,9 +1,13 @@
+import json
 from fractions import Fraction as Q
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from voamodes.correspondence import (
     MapTable,
+    SuiteReport,
     certify_jacobi,
     certify_l1_derivative,
     reachability_closure,
@@ -191,6 +195,25 @@ def test_corruption_detected(table):
     l1 = certify_l1_derivative(bad, w1s, w2_levels=2)
     assert not jac.ok or not l1.ok
     assert (jac.first_failure is not None) or (l1.first_failure is not None)
+
+
+def test_failing_certificate_row(table):
+    # the failure detail is kept as recorded and rendered once, in the row
+    schema = json.loads(
+        (Path(__file__).resolve().parents[1] / "src" / "voamodes" / "schemas"
+         / "report-v1.schema.json").read_text())
+    bad = table.perturbed((0, 0, (), ()), table.target.highest())
+    cert = certify_jacobi(bad, [ONE, A1], [table.source.highest()], kmax=1,
+                          p_lo=0, p_hi=0)
+    assert not cert.ok and isinstance(cert.first_failure, dict)
+    rep = SuiteReport("jacobi-cert")
+    rep.record(True, "unused")
+    rep.absorb(cert)
+    assert (rep.cases, rep.passed) == (cert.cases + 1, cert.passed + 1)
+    row = rep.row()
+    assert row["first_failure"] == str(cert.first_failure)
+    jsonschema.validate(row, schema["properties"]["suites"]["items"])
+    assert not rep.ok
 
 
 def test_zero_table_zero_modes(table, Y):

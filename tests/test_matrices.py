@@ -13,9 +13,9 @@ from voamodes.heisenberg import (
 )
 from voamodes.matrices import (
     IndexedMatrix,
-    ProbeFamily,
     diamond_left,
     diamond_wv,
+    first_nonzero_image,
     identity_n,
     jacobi_kernel_element,
     left_entry,
@@ -33,8 +33,8 @@ A1 = FockVector.basis(0, (1,))
 CHARGES = (Q(0), Q(1, 2), Q(1))
 
 
-def module_probes(max_level=2):
-    return ProbeFamily.modules(CHARGES, level_cap=8, max_level=max_level)
+def module_probes():
+    return [FockIntertwiner(0, c, level_cap=8) for c in CHARGES]
 
 
 def test_matrix_container():
@@ -141,9 +141,7 @@ def test_kernel_elements_nonzero_but_annihilated():
     # this grid point produces a genuinely nonzero matrix
     km = jacobi_kernel_element(W1, 0, 2, 0, -2, A1, W1.highest())
     assert not km.is_zero()
-    for (k, l), entry in km.entries.items():
-        for w2 in Y.right_input.basis(l):
-            assert Y.theta(k, l, entry, w2).is_zero()
+    assert first_nonzero_image(Y, km) is None
 
 
 def test_kernel_element_grid():
@@ -159,9 +157,7 @@ def test_kernel_element_grid():
                     for v in vs:
                         km = jacobi_kernel_element(W1, k, l, n, p, v,
                                                    W1.basis(1)[0])
-                        for (kk, ll), entry in km.entries.items():
-                            for w2 in Y.right_input.basis(ll):
-                                assert Y.theta(kk, ll, entry, w2).is_zero()
+                        assert first_nonzero_image(Y, km) is None
 
 
 def test_kernel_element_precondition():
@@ -252,9 +248,18 @@ def test_probe_equal_examples():
                            IndexedMatrix.zero(0), probes)
 
 
-def test_probe_family_validation():
+def test_probe_equal_rejects_empty_list():
+    a = IndexedMatrix.single(A1, 0, 0)
     with pytest.raises(ValueError):
-        ProbeFamily([])
+        probe_equal(a, a, [])
+
+
+def test_first_nonzero_image_finds_a_witness():
+    # [a(-1)|0>]_{00} under the charge-1 action: a(0) acts as 1 on |1>
+    Y = FockIntertwiner(0, 1, level_cap=4)
+    mat = IndexedMatrix.single(A1, 0, 0)
+    assert first_nonzero_image(Y, mat) == Y.target.highest()
+    assert first_nonzero_image(FockIntertwiner(0, 0, level_cap=4), mat) is None
 
 
 def series_route_left_entry(v, w, k, n, l):
