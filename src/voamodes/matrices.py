@@ -378,7 +378,8 @@ def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
 
       first sum - second sum - third sum     (see `jacobi_sums`)
 
-    lies in the kernel of every evaluation map.
+    lies in the kernel of every evaluation map.  A combination that is the
+    zero vector gives the zero matrix.
     """
     if l + p < 0:
         raise ValueError("l + p must be a natural number")
@@ -394,7 +395,8 @@ def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
         acc = acc - right_entry(w, v, k, q, l + p).scale(c)
     for i, c in modes:
         acc = acc - module.mode(v, i, w).scale(c)
-    return IndexedMatrix.single(acc, k, l + p)
+    return IndexedMatrix.single(acc, k, l + p) if not acc.is_zero() else \
+        IndexedMatrix.zero(w.charge)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,8 @@ def test_kernel_elements_nonzero_but_annihilated():
     km = jacobi_kernel_element(W1, 0, 2, 0, -2, A1, W1.highest())
     assert not km.is_zero()
     assert first_nonzero_image(Y, km) is None
+    # a combination that cancels to the zero vector is the zero matrix
+    assert jacobi_kernel_element(W1, 0, 0, 0, 0, ONE, W1.highest()).is_zero()
 
 
 def test_kernel_element_grid():
