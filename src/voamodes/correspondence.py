@@ -21,7 +21,9 @@ from .heisenberg import (
     FockVector,
     _add_into,
     _trusted_vector,
+    intern_charge,
     partitions_of,
+    same_charge,
     sugawara_l,
     weight_of,
     zero_vector,
@@ -41,9 +43,9 @@ class MapTable:
 
     def __init__(self, lam1, lam2, kmax: int, w1_levels: int, entries: dict,
                  level_cap: int):
-        self.lam1 = rat(lam1)
-        self.lam2 = rat(lam2)
-        self.lam3 = self.lam1 + self.lam2
+        self.lam1 = intern_charge(lam1)
+        self.lam2 = intern_charge(lam2)
+        self.lam3 = intern_charge(self.lam1 + self.lam2)
         self.kmax = int(kmax)
         self.w1_levels = int(w1_levels)
         self.level_cap = int(level_cap)
@@ -109,7 +111,7 @@ class MapTable:
         exhaustive in that direction); w1 components above the stored
         level bound are genuinely unknown and raise OutOfTable.
         """
-        if w1.charge != self.lam1 or w2.charge != self.lam2:
+        if not (same_charge(w1.charge, self.lam1) and same_charge(w2.charge, self.lam2)):
             raise ValueError("map tables take (source, right input) vectors")
         if not (0 <= k <= self.kmax and 0 <= l <= self.kmax):
             raise OutOfTable(f"indices ({k},{l}) outside the stored grid")
@@ -220,9 +222,8 @@ class SuiteReport:
         }
 
 
-def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
-                   p_hi: int) -> SuiteReport:
-    """Check the coefficient-extracted Jacobi identity on the table.
+def jacobi_points(f: MapTable, v_list, w1_list, kmax: int, p_lo: int, p_hi: int):
+    """Yield (holds, detail) per grid point of the coefficient-extracted Jacobi identity.
 
     For every grid point (k, l, n <= kmax; p in [p_lo, p_hi]; homogeneous v;
     w1 from w1_list; w2 over the level-(l+p) basis):
@@ -231,9 +232,10 @@ def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
       = sum_j (-1)^(p-j) C(p,j) f(k, q_j, w1, theta2(q_j, l+p, v, w2))
         + sum_j C(wt v + n - k - 1, j) f(k, l+p, (Y)_{p+j}(v) w1, w2)
 
-    with q_j = l-n+k+p-j and all sums index-guarded.
+    with q_j = l-n+k+p-j and all sums index-guarded.  `detail()` renders
+    the point.  The points are computed as they are consumed, so a reader
+    looking for one failure stops at it.
     """
-    report = SuiteReport("jacobi")
     W1, W2, W3 = f.source, f.right_input, f.target
     for v in v_list:
         hv = weight_of(v)
@@ -249,12 +251,20 @@ def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
                             if l + p < 0:
                                 continue
                             for w2 in W2.basis(l + p):
-                                _jacobi_point(report, f, W1, W2, W3, v, hv,
-                                              w1, lev1, w2, k, l, n, p)
+                                yield _jacobi_point(f, W1, W2, W3, v, hv,
+                                                    w1, lev1, w2, k, l, n, p)
+
+
+def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
+                   p_hi: int) -> SuiteReport:
+    """Tally of `jacobi_points` over the whole grid."""
+    report = SuiteReport("jacobi")
+    for holds, detail in jacobi_points(f, v_list, w1_list, kmax, p_lo, p_hi):
+        report.record(holds, detail)
     return report
 
 
-def _jacobi_point(report, f, W1, W2, W3, v, hv, w1, lev1, w2, k, l, n, p):
+def _jacobi_point(f, W1, W2, W3, v, hv, w1, lev1, w2, k, l, n, p):
     L = l + p
     left, right, modes = jacobi_sums(k, l, n, p, hv, lev1)
     lhs = f.target.zero()
@@ -267,10 +277,10 @@ def _jacobi_point(report, f, W1, W2, W3, v, hv, w1, lev1, w2, k, l, n, p):
         shifted = W1.mode(v, i, w1)
         if not shifted.is_zero():
             rhs = rhs + f.value(k, L, shifted, w2).scale(c)
-    report.record(lhs == rhs, lambda: {
+    return lhs == rhs, lambda: {
         "point": {"k": k, "l": l, "n": n, "p": p},
         "v": repr(v), "w1": repr(w1), "w2": repr(w2),
-        "lhs": repr(lhs), "rhs": repr(rhs)})
+        "lhs": repr(lhs), "rhs": repr(rhs)}
 
 
 def certify_l1_derivative(f: MapTable, w1_list, w2_levels: int) -> SuiteReport:

@@ -29,12 +29,16 @@ from math import factorial
 from .errors import TruncationOverflow
 from .heisenberg import (
     _EXPAND_CACHE,
+    ALGEBRA_CHARGE,
     FockVector,
     _acc,
     _add_into,
     _canon,
     _trusted_vector,
+    expand_key,
     expand_pair,
+    intern_charge,
+    same_charge,
     partitions_of,
     sugawara_l,
     zero_vector,
@@ -54,7 +58,7 @@ def pair_mode_terms(nu: tuple, lam1, mu: tuple, lam2, t: int) -> dict:
     level = sum(nu) + sum(mu) + t
     if level < 0:
         return {}
-    entry = _EXPAND_CACHE.get((nu, lam1, mu, lam2))
+    entry = _EXPAND_CACHE.get(expand_key(nu, lam1, mu, lam2))
     got = None if entry is None else entry[1].get(level)
     if got is None:
         return expand_pair(nu, lam1, mu, lam2, level).get(t, {})
@@ -122,7 +126,7 @@ class FockModule:
     """
 
     def __init__(self, lam, level_cap: int = 6):
-        self.lam = rat(lam)
+        self.lam = intern_charge(lam)
         self.level_cap = int(level_cap)
         self.h = self.lam * self.lam / 2
 
@@ -143,19 +147,24 @@ class FockModule:
 
     # -- module vertex operator modes ---------------------------------------
 
+    def _check(self, v: FockVector, w: FockVector) -> None:
+        """Raise unless v is an algebra vector and w belongs to this module."""
+        if not same_charge(v.charge, ALGEBRA_CHARGE):
+            raise ValueError("module modes take algebra vectors on the left")
+        if not same_charge(w.charge, self.lam):
+            raise ValueError("vector does not belong to this module")
+
     def mode(self, v: FockVector, n_index, w: FockVector) -> FockVector:
         """(Y_W)_n(v) w for v in the algebra; zero for non-integer n."""
-        if v.charge != 0:
-            raise ValueError("module modes take algebra vectors on the left")
-        if w.charge != self.lam:
-            raise ValueError("vector does not belong to this module")
+        self._check(v, w)
         n_index = rat(n_index)
         if n_index.denominator != 1:
             return self.zero()
         t = -int(n_index) - 1
         _check_result_level(v, w, t, self.level_cap, "mode result")
         return _trusted_vector(
-            self.lam, _pair_sum(v.terms, 0, w.terms.items(), self.lam, 1, lambda a: t))
+            self.lam, _pair_sum(v.terms, ALGEBRA_CHARGE, w.terms.items(), self.lam, 1,
+                                lambda a: t))
 
     # -- evaluation map of matrices over the algebra ------------------------
 
@@ -166,15 +175,13 @@ class FockModule:
         so each pair with the level-l terms of w is one engine read at
         level k.
         """
-        if v.charge != 0:
-            raise ValueError("module modes take algebra vectors on the left")
-        if w.charge != self.lam:
-            raise ValueError("vector does not belong to this module")
+        self._check(v, w)
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
         w_l = [(mu, cw) for mu, cw in w.terms.items() if sum(mu) == l]
         return _trusted_vector(
-            self.lam, _pair_sum(v.terms, 0, w_l, self.lam, 1, lambda a: k - a - l))
+            self.lam, _pair_sum(v.terms, ALGEBRA_CHARGE, w_l, self.lam, 1,
+                                lambda a: k - a - l))
 
     # -- contragredient module ----------------------------------------------
 
@@ -197,9 +204,9 @@ class FockModule:
         The pairing is read off the engine terms: the a(-p) coordinate is
         the norm-weighted w' against the image of a(-p), over <a(-p), a(-p)>.
         """
-        if v.charge != 0:
+        if not same_charge(v.charge, ALGEBRA_CHARGE):
             raise ValueError("contragredient modes take algebra vectors")
-        if wprime.charge != self.lam:
+        if not same_charge(wprime.charge, self.lam):
             raise ValueError("vector does not belong to this module")
         n_index = rat(n_index)
         if n_index.denominator != 1:
@@ -230,7 +237,8 @@ class FockModule:
                     total = 0
                     for j, weight, terms in chain:
                         for nu, cu in terms.items():
-                            image = pair_mode_terms(nu, 0, p, self.lam, j + n + 1 - 2 * h)
+                            image = pair_mode_terms(nu, ALGEBRA_CHARGE, p, self.lam,
+                                                    j + n + 1 - 2 * h)
                             val = sum(c * image[q] for q, c in paired.items()
                                       if q in image)
                             if val:
@@ -241,9 +249,9 @@ class FockModule:
 
     def theta_dual(self, k: int, l: int, v: FockVector, wprime: FockVector) -> FockVector:
         """The residue map on the contragredient module."""
-        if v.charge != 0:
+        if not same_charge(v.charge, ALGEBRA_CHARGE):
             raise ValueError("contragredient modes take algebra vectors")
-        if wprime.charge != self.lam:
+        if not same_charge(wprime.charge, self.lam):
             raise ValueError("vector does not belong to this module")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
@@ -270,9 +278,9 @@ class FockIntertwiner:
     """
 
     def __init__(self, lam1, lam2, level_cap: int = 6, scale=1):
-        self.lam1 = rat(lam1)
-        self.lam2 = rat(lam2)
-        self.lam3 = self.lam1 + self.lam2
+        self.lam1 = intern_charge(lam1)
+        self.lam2 = intern_charge(lam2)
+        self.lam3 = intern_charge(self.lam1 + self.lam2)
         self.level_cap = int(level_cap)
         self.scale = _canon(rat(scale))
         self.source = FockModule(self.lam1, level_cap)
@@ -286,7 +294,7 @@ class FockIntertwiner:
 
     def mode(self, m, w1: FockVector, w2: FockVector) -> FockVector:
         """The mode Y_m(w1) w2, of weight wt w1 + wt w2 - m - 1."""
-        if w1.charge != self.lam1 or w2.charge != self.lam2:
+        if not (same_charge(w1.charge, self.lam1) and same_charge(w2.charge, self.lam2)):
             raise ValueError("intertwiner modes take (source, right input) vectors")
         m = rat(m)
         t = -m - 1 - self.base_exponent
@@ -299,7 +307,7 @@ class FockIntertwiner:
 
     def series(self, w1: FockVector, w2: FockVector, lo, hi) -> Laurent:
         """Y(w1, x) w2 over the exponent window [lo, hi]."""
-        if w1.charge != self.lam1 or w2.charge != self.lam2:
+        if not (same_charge(w1.charge, self.lam1) and same_charge(w2.charge, self.lam2)):
             raise ValueError("intertwiner series take (source, right input) vectors")
         lo = rat(lo)
         t_hi = (rat(hi) - self.base_exponent).__floor__()
@@ -320,7 +328,7 @@ class FockIntertwiner:
         -lam1 lam2, a(-nu)|lam1> of level a contributes its
         x^(lam1 lam2 + k - l - a) coefficient: one engine read at level k.
         """
-        if w1.charge != self.lam1 or w2.charge != self.lam2:
+        if not (same_charge(w1.charge, self.lam1) and same_charge(w2.charge, self.lam2)):
             raise ValueError("intertwiner modes take (source, right input) vectors")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
@@ -340,11 +348,12 @@ def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,
     The modes of Y_W(v, z) w come from `mode_series`; the exponential of
     L(-1) is applied with the Sugawara operator.
     """
-    if w.charge != module.lam or v.charge != 0:
+    if not (same_charge(w.charge, module.lam) and same_charge(v.charge, ALGEBRA_CHARGE)):
         raise ValueError("right vertex operator takes (module, algebra) vectors")
     _check_result_level(v, w, hi, module.level_cap, "window")
     out: dict = {}
-    for t, terms in sorted(mode_series(v.terms, 0, w.terms, module.lam, hi).items()):
+    series = mode_series(v.terms, ALGEBRA_CHARGE, w.terms, module.lam, hi)
+    for t, terms in sorted(series.items()):
         cur = _trusted_vector(module.lam, terms).scale(-1 if t % 2 else 1)
         a = 0
         while t + a <= hi and not cur.is_zero():

@@ -20,12 +20,23 @@ Python `int` when its value is integral, otherwise a `Fraction` with
 denominator > 1.  The two compare and hash alike (1 == Fraction(1) and
 hash(1) == hash(Fraction(1))), so equality, cache keys and printed
 forms do not see the difference, and integral arithmetic stays on
-`int`s.  Charges and exponents stay `Fraction`s.
+`int`s.  Exponents stay `Fraction`s.
+
+Charges are interned: `intern_charge` gives every charge value one
+shared plain `Fraction`, and the charge-bearing objects (`FockVector`,
+the modules, intertwiners, matrices and map tables) store that object,
+so the vectors they return carry it too.  Every charge check tests
+identity first (`a is b or a == b`), which makes the common check one
+pointer comparison; an equal but distinct `Fraction` still passes, so
+nothing depends on the interning.
 
 `_EXPAND_CACHE` holds, per basis pair, the annihilation stage (integer
 rows over one scale, which do not depend on the level) and the levels
-computed so far.  A request computes exactly the levels it is missing,
-in one creation pass built up to the highest of them (the budget).  The
+computed so far.  `expand_key` keys it on the integer numerators and
+denominators of the two charges, which hash far faster than `Fraction`s;
+an `int` charge and the equal `Fraction` share one entry.  A request
+computes exactly the levels it is missing, in one creation pass built up
+to the highest of them (the budget).  The
 engine carries integer numerators over one common denominator per pass
 and divides once, when the levels go into the cache as canonical
 coefficients.  With lam1 = p1/q1 and lam2 = p2/q2 the denominator has
@@ -60,6 +71,31 @@ from .series import rat, rat_str
 Q = Fraction
 
 EMPTY = ()
+
+
+# ---------------------------------------------------------------------------
+# charges
+
+# (numerator, denominator) -> the one shared Fraction of that value
+_CHARGES: dict = {}
+
+
+def intern_charge(value) -> Fraction:
+    """The shared plain `Fraction` of a charge value (int, Fraction or 'p/q')."""
+    q = rat(value)
+    key = (q.numerator, q.denominator)
+    got = _CHARGES.get(key)
+    if got is None:
+        got = _CHARGES[key] = q if type(q) is Fraction else Fraction(*key)
+    return got
+
+
+ALGEBRA_CHARGE = intern_charge(0)
+
+
+def same_charge(a, b) -> bool:
+    """Charge equality, identity first: interned charges meet by `is`."""
+    return a is b or a == b
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +195,14 @@ def _add_into(target: dict, terms: dict, s=1) -> None:
 # ---------------------------------------------------------------------------
 # the vertex-operator engine
 
-# (nu, lam1, mu, lam2) -> (annihilation stage, {level: terms}); see expand_pair
+# expand_key(nu, lam1, mu, lam2) -> (annihilation stage, {level: terms});
+# see expand_pair
 _EXPAND_CACHE: dict = {}
+
+
+def expand_key(nu: tuple, lam1, mu: tuple, lam2) -> tuple:
+    """The `_EXPAND_CACHE` key of a basis pair: integers only, one per pair."""
+    return (nu, lam1.numerator, lam1.denominator, mu, lam2.numerator, lam2.denominator)
 
 
 def _exp_factors(p: int, qn: int, top: int) -> list:
@@ -254,16 +296,32 @@ def _merge_parts(p: tuple, ins: tuple) -> tuple:
     return tuple(sorted(p + ins, reverse=True))
 
 
+def _current_step(terms: dict, ni: int, p2: int, q2: int) -> dict:
+    """The annihilation half of one current a(-ni), scaled by q2, on integer rows.
+
+    The zero mode contributes p2 C(-1, ni-1) and a(k) contributes
+    q2 C(-k-1, ni-1) = q2 (-1)^(ni-1) C(k+ni-1, ni-1).
+    """
+    sign = 1 if ni % 2 else -1
+    nxt: dict = {}
+    if p2:
+        _add_into(nxt, terms, sign * p2)
+    for k in sorted({part for p in terms for part in p}):
+        _add_into(nxt, apply_annihilator(k, terms),
+                  sign * q2 * comb(k + ni - 1, ni - 1))
+    return nxt
+
+
 def _annihilation_stage(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction) -> tuple:
     """(scale, {pending: {partition: coeff}}): everything but creation.
 
     Applies the annihilation exponential, then each subset of the currents'
-    annihilation halves, and groups the integer rows by the currents left
-    pending for the creation stage.  The zero mode of a(x) contributes
-    lam2 C(-1, n_i-1) and a(k) contributes C(-k-1, n_i-1) =
-    (-1)^(n_i-1) C(k+n_i-1, n_i-1); each current is scaled by q2, and
-    every group is lifted to the common scale q2^r.  The rows do not
-    depend on the level: the x-exponent of a term is fixed by its level.
+    annihilation halves (`_current_step`), and groups the integer rows by
+    the currents left pending for the creation stage; every group is
+    lifted to the common scale q2^r.  A subset extends its prefix, kept
+    from the round of the next smaller size, by its last current, so
+    each subset costs one step.  The rows do not depend on the level: the
+    x-exponent of a term is fixed by its level.
     """
     p1, q1 = lam1.numerator, lam1.denominator
     p2, q2 = lam2.numerator, lam2.denominator
@@ -273,21 +331,12 @@ def _annihilation_stage(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction) ->
     else:
         scale, start = 1, {mu: 1}
     by_pending: dict = {}
+    rows = {EMPTY: start}       # subset of the currents -> its rows
     for take in range(r + 1):
-        for right in combinations(range(r), take):
-            terms = start
-            for i in right:
-                ni = nu[i]
-                sign = 1 if ni % 2 else -1
-                nxt: dict = {}
-                if p2:
-                    _add_into(nxt, terms, sign * p2)
-                for k in sorted({part for p in terms for part in p}):
-                    _add_into(nxt, apply_annihilator(k, terms),
-                              sign * q2 * comb(k + ni - 1, ni - 1))
-                terms = nxt
-                if not terms:
-                    break
+        if take:
+            rows = {right: _current_step(rows[right[:-1]], nu[right[-1]], p2, q2)
+                    for right in combinations(range(r), take) if rows.get(right[:-1])}
+        for right, terms in rows.items():
             if not terms:
                 continue
             pending = tuple(sorted((nu[i] for i in range(r) if i not in right),
@@ -345,7 +394,7 @@ def expand_pair(nu: tuple, lam1, mu: tuple, lam2, max_level: int) -> dict:
     """
     lam1 = rat(lam1)
     lam2 = rat(lam2)
-    key = (nu, lam1, mu, lam2)
+    key = expand_key(nu, lam1, mu, lam2)
     entry = _EXPAND_CACHE.get(key)
     if entry is None:
         entry = _EXPAND_CACHE[key] = (_annihilation_stage(nu, lam1, mu, lam2), {})
@@ -367,7 +416,7 @@ class FockVector:
     __slots__ = ("charge", "terms", "_hash")
 
     def __init__(self, charge, terms=None):
-        object.__setattr__(self, "charge", rat(charge))
+        object.__setattr__(self, "charge", intern_charge(charge))
         cleaned = {}
         if terms:
             for p, c in terms.items():
@@ -386,7 +435,7 @@ class FockVector:
         return cls(charge, {tuple(partition): 1})
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        if self.charge != other.charge:
+        if not same_charge(self.charge, other.charge):
             raise ValueError("cannot add vectors of different charge")
         out = dict(self.terms)
         for p, c in other.terms.items():
@@ -403,7 +452,7 @@ class FockVector:
 
     def __eq__(self, other):
         return (isinstance(other, FockVector)
-                and self.charge == other.charge and self.terms == other.terms)
+                and same_charge(self.charge, other.charge) and self.terms == other.terms)
 
     def __hash__(self):
         h = self._hash
@@ -447,7 +496,8 @@ _set_hash = FockVector._hash.__set__
 def _trusted_vector(charge: Fraction, terms: dict) -> FockVector:
     """FockVector from terms that are already canonical, skipping the checks.
 
-    The caller guarantees a `Fraction` charge, non-increasing partition
+    The caller guarantees a `Fraction` charge (the interned one, which
+    every charge check then meets by identity), non-increasing partition
     keys and nonzero canonical values (an `int` when the value is
     integral, otherwise a `Fraction` with denominator > 1), and hands
     `terms` over: the vector owns the dict, so it must be fresh and must

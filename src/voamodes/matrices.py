@@ -34,13 +34,16 @@ from functools import lru_cache
 
 from .fock import FockIntertwiner, FockModule, mode_series, right_vertex_op
 from .heisenberg import (
+    ALGEBRA_CHARGE,
     FockVector,
     _add_into,
     _canon,
     _trusted_vector,
     conformal_vector,
     expand_pair,
+    intern_charge,
     l_zero,
+    same_charge,
     sugawara_l,
     vacuum,
     weight_of,
@@ -57,13 +60,13 @@ class IndexedMatrix:
     __slots__ = ("charge", "entries")
 
     def __init__(self, charge, entries=None):
-        object.__setattr__(self, "charge", rat(charge))
+        object.__setattr__(self, "charge", intern_charge(charge))
         cleaned = {}
         if entries:
             for (k, l), vec in entries.items():
                 if k < 0 or l < 0:
                     raise ValueError("matrix indices are naturals")
-                if vec.charge != self.charge:
+                if not same_charge(vec.charge, self.charge):
                     raise ValueError("entry charge mismatch")
                 if not vec.is_zero():
                     cleaned[(int(k), int(l))] = vec
@@ -81,7 +84,7 @@ class IndexedMatrix:
         return cls(charge, {})
 
     def __add__(self, other: "IndexedMatrix") -> "IndexedMatrix":
-        if self.charge != other.charge:
+        if not same_charge(self.charge, other.charge):
             raise ValueError("charge mismatch")
         out = dict(self.entries)
         for key, vec in other.entries.items():
@@ -103,7 +106,8 @@ class IndexedMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, IndexedMatrix)
-                and self.charge == other.charge and self.entries == other.entries)
+                and same_charge(self.charge, other.charge)
+                and self.entries == other.entries)
 
     def __hash__(self):
         return hash((self.charge, frozenset(self.entries.items())))
@@ -141,7 +145,7 @@ def omega1_n(n: int) -> IndexedMatrix:
 
 def left_entry(v: FockVector, w: FockVector, k: int, n: int, l: int) -> FockVector:
     """Res_x T_{k+l+1}((x+1)^(-k+n-l-1)) (1+x)^l Y((1+x)^{L(0)}v, x) w."""
-    if v.charge != 0:
+    if not same_charge(v.charge, ALGEBRA_CHARGE):
         raise ValueError("left factor must be an algebra vector")
     return _left_entry_cached(v, w, k, n, l)
 
@@ -152,7 +156,7 @@ def _left_entry_cached(v, w, k, n, l):
     for nu, cv in v.terms.items():
         weights = _residue_weights(k, n, l, l + sum(nu))
         for mu, cw in w.terms.items():
-            pairs = expand_pair(nu, 0, mu, w.charge, sum(nu) + sum(mu) + k + l)
+            pairs = expand_pair(nu, ALGEBRA_CHARGE, mu, w.charge, sum(nu) + sum(mu) + k + l)
             for t, c in weights.items():
                 got = pairs.get(t)
                 if got:
@@ -200,7 +204,8 @@ def _conjugated_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     stuff: dict = {}
     for h in v.levels():
         v_h = v.level_component(h)
-        for t, terms in mode_series(v_h.terms, 0, w.terms, w.charge, t_hi).items():
+        series = mode_series(v_h.terms, ALGEBRA_CHARGE, w.terms, w.charge, t_hi)
+        for t, terms in series.items():
             sign = Q(-1) if t % 2 else Q(1)
             for j in range(0, t_hi - t + 1):
                 cj = gen_binomial(-h - t, j)
@@ -226,7 +231,8 @@ def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
     acc = Laurent()
     for h in v.levels():
         v_h = v.level_component(h)
-        for t, terms in mode_series(v_h.terms, 0, w.terms, w.charge, t_hi).items():
+        series = mode_series(v_h.terms, ALGEBRA_CHARGE, w.terms, w.charge, t_hi)
+        for t, terms in series.items():
             # (1+x)^{-h} * z^t = (-1)^t x^t (1+x)^{-t-h}
             sign = Q(-1) if t % 2 else Q(1)
             vec = FockVector(w.charge, terms).scale(sign)
@@ -302,7 +308,7 @@ def right_entry(w: FockVector, v: FockVector, k: int, n: int, l: int,
                 form: str = "conjugated") -> FockVector:
     if form not in ("conjugated", "direct", "right-op"):
         raise ValueError(f"unknown right-action form {form!r}")
-    if v.charge != 0:
+    if not same_charge(v.charge, ALGEBRA_CHARGE):
         raise ValueError("right factor must be an algebra vector")
     return _right_entry_cached(w, v, k, n, l, form)
 
@@ -327,7 +333,7 @@ def _diamond(a: IndexedMatrix, b: IndexedMatrix, entry, charge) -> IndexedMatrix
 
 def diamond_left(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
     """Product/left action: entries of a are algebra vectors."""
-    if a.charge != 0:
+    if not same_charge(a.charge, ALGEBRA_CHARGE):
         raise ValueError("left factor must be a matrix over the algebra")
     return _diamond(a, b, left_entry, b.charge)
 
@@ -335,7 +341,7 @@ def diamond_left(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
 def diamond_wv(a: IndexedMatrix, b: IndexedMatrix,
                form: str = "conjugated") -> IndexedMatrix:
     """Right action: entries of b are algebra vectors."""
-    if b.charge != 0:
+    if not same_charge(b.charge, ALGEBRA_CHARGE):
         raise ValueError("right factor must be a matrix over the algebra")
     return _diamond(a, b, lambda w, v, k, n, l: right_entry(w, v, k, n, l, form),
                     a.charge)
@@ -410,7 +416,7 @@ def opposite_map(mat: IndexedMatrix, sign: str = "plus") -> IndexedMatrix:
     satisfies the adjoint pairing identity against the contragredient
     action, and the verification suite calibrates which.
     """
-    if mat.charge != 0:
+    if not same_charge(mat.charge, ALGEBRA_CHARGE):
         raise ValueError("the opposite map acts on matrices over the algebra")
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")

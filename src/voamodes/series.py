@@ -19,10 +19,13 @@ Q = Fraction
 
 def rat(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
-    if isinstance(value, Fraction):
+    # isinstance against Fraction runs the ABC check, so it comes last
+    if type(value) is Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"not an exact rational: {value!r}")
@@ -44,7 +47,9 @@ def gen_binomial(a, m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("lower index of a binomial must be a natural number")
-    return _binom_cached(rat(a), m)
+    # an int top keys the same cache entry as the equal Fraction (they hash
+    # and compare alike), and the product below is a Fraction either way
+    return _binom_cached(a if type(a) is int else rat(a), m)
 
 
 @lru_cache(maxsize=None)

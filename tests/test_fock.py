@@ -238,19 +238,30 @@ def test_mode_truncation():
 
 def _warm(clear, nu, lam1, mu, lam2, warm):
     """Put one pair's cache entry in a state: None cold, ("range", n) after
-    expand_pair up to level n, ("single", levels) after one fill per level."""
+    expand_pair up to level n, ("single", levels) after one fill per level.
+
+    Returns the warmed entry (None when cold), for the caller to check
+    that its reads went through that entry."""
     clear()
     if warm is None:
-        return
+        return None
     kind, arg = warm
+    key = heisenberg.expand_key(nu, lam1, mu, lam2)
     if kind == "range":
         expand_pair(nu, lam1, mu, lam2, arg)
-        return
+        return heisenberg._EXPAND_CACHE[key]
     entry = heisenberg._EXPAND_CACHE.setdefault(
-        (nu, lam1, mu, lam2),
-        (heisenberg._annihilation_stage(nu, lam1, mu, lam2), {}))
+        key, (heisenberg._annihilation_stage(nu, lam1, mu, lam2), {}))
     for level in arg:
         heisenberg._fill_levels(entry, lam1.numerator, lam1.denominator, [level])
+    return entry
+
+
+def _assert_read_through(entry, nu, lam1, mu, lam2):
+    """The pair has one cache entry, and it is the warmed one when warmed."""
+    assert len(heisenberg._EXPAND_CACHE) == 1
+    if entry is not None:
+        assert heisenberg._EXPAND_CACHE[heisenberg.expand_key(nu, lam1, mu, lam2)] is entry
 
 
 def test_pair_mode_terms_matches_expand_pair_in_every_cache_state(clear_engine_caches):
@@ -267,15 +278,18 @@ def test_pair_mode_terms_matches_expand_pair_in_every_cache_state(clear_engine_c
         for warm in states:
             for level in range(-1, 13):
                 t = level - base
-                _warm(clear_engine_caches, nu, lam1, mu, lam2, warm)
+                entry = _warm(clear_engine_caches, nu, lam1, mu, lam2, warm)
                 got = pair_mode_terms(nu, lam1, mu, lam2, t)
                 assert got == want.get(t, {}), (nu, lam1, mu, lam2, level, warm)
+                if level >= 0:
+                    _assert_read_through(entry, nu, lam1, mu, lam2)
             # range reads over the gaps, then everything from the cache
-            _warm(clear_engine_caches, nu, lam1, mu, lam2, warm)
+            entry = _warm(clear_engine_caches, nu, lam1, mu, lam2, warm)
             for top in (9, 4, 12):
                 got = expand_pair(nu, lam1, mu, lam2, top)
                 assert got == {t: v for t, v in want.items() if base + t <= top}, \
                     (nu, lam1, mu, lam2, top, warm)
+                _assert_read_through(entry, nu, lam1, mu, lam2)
             for level in range(13):
                 assert pair_mode_terms(nu, lam1, mu, lam2, level - base) == \
                     want.get(level - base, {}), (nu, lam1, mu, lam2, level, warm)

@@ -337,7 +337,7 @@ def _assert_engine_matches_oracle(nu, lam1, mu, lam2, max_level):
     """The range read and the single-level reads, each from a cold pair entry."""
     want = fraction_engine_oracle(nu, lam1, mu, lam2, max_level)
     base = sum(nu) + sum(mu)
-    key = (nu, lam1, mu, lam2)
+    key = heisenberg.expand_key(nu, lam1, mu, lam2)
     heisenberg._EXPAND_CACHE.pop(key, None)
     got = expand_pair(nu, lam1, mu, lam2, max_level)
     assert got == want, key
