@@ -8,8 +8,6 @@ and give the same results.
 
 from fractions import Fraction as Q
 
-import pytest
-
 from voamodes import heisenberg
 from voamodes.correspondence import MapTable, certify_jacobi, jacobi_points
 from voamodes.fock import FockIntertwiner, FockModule, pair_mode_terms, right_vertex_op
@@ -116,16 +114,6 @@ def test_equal_but_distinct_charges_pass_every_check(clear_caches):
     assert fresh[1] == w and w == fresh[1] and hash(fresh[1]) == hash(w)
     assert results(*fresh) == want
     assert certify_jacobi(f, [fresh[0]], [fresh[3]], 1, -1, 0).ok
-
-
-def test_a_wrong_charge_still_raises():
-    M = FockModule(Q(1, 2), level_cap=4)
-    with pytest.raises(ValueError):
-        M.theta(0, 0, OM, FockVector.basis(Q(-1, 2), ()))
-    with pytest.raises(ValueError):
-        M.mode(_trusted_vector(Q(1, 2), dict(OM.terms)), 0, M.highest())
-    with pytest.raises(ValueError):
-        M.highest() + FockVector.basis(1, ())
 
 
 def test_int_and_fraction_charges_share_one_engine_entry(clear_engine_caches):

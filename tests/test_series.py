@@ -26,6 +26,8 @@ def test_gen_binomial_examples():
     assert gen_binomial(2, 5) == 0
     # falling factorial oracle: (-3)(-4)/2
     assert gen_binomial(-3, 2) == Q(-3) * Q(-4) / 2 == 6
+    # an int top and the equal Fraction give one Fraction, from either side
+    assert all(type(gen_binomial(a, m)) is Q for a in (4, Q(4), -3) for m in range(4))
 
 
 def test_gen_binomial_rational():
@@ -104,6 +106,7 @@ def test_rat_roundtrip():
     assert rat("3/4") == Q(3, 4)
     assert rat_str(Q(-2, 6)) == "-1/3"
     assert rat_str(Q(4)) == "4"
+    assert all(type(rat(x)) is Q for x in (2, True, Q(1, 3), " -1/2 "))
     with pytest.raises(TypeError):
         rat(0.5)
 
