@@ -13,13 +13,9 @@ from .errors import (
     TruncationOverflow,
 )
 from .series import (
-    Laurent,
-    binom_series,
     gen_binomial,
     rat,
     rat_str,
-    residue,
-    truncated_taylor,
 )
 from .heisenberg import (
     FockVector,

@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace as _dc_replace
+from dataclasses import replace
 from itertools import repeat
 
 from .correspondence import MapTable
@@ -47,6 +47,13 @@ def _parse_pair(text: str):
     return (int(bits[0]), int(bits[1]))
 
 
+def _parse_names(value):
+    # a config-file line is one comma-separated string; repeated --suite
+    # flags arrive as a list
+    names = value.split(",") if isinstance(value, str) else value
+    return tuple(x.strip() for x in names if x.strip())
+
+
 def load_config_file(path: str) -> dict:
     """Flat key = value lines; '#' comments; rationals as p/q."""
     try:
@@ -66,52 +73,39 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = {
-    "N": ("n", int),
-    "L_max": ("l_max", int),
-    "charges": ("charges", _parse_charges),
-    "p_window": ("p_window", _parse_pair),
-    "max_v_weight": ("max_v_weight", int),
-    "suites": ("suites", lambda s: tuple(x.strip() for x in s.split(",") if x.strip())),
-    "seed": ("seed", int),
-    "workers": ("workers", int),
+# config-file key, which is also the argparse dest of its flag ->
+# (RunConfig field, parser of the value, the flag)
+_OPTIONS = {
+    "N": ("n", int, "--N"),
+    "L_max": ("l_max", int, "--lmax"),
+    "charges": ("charges", _parse_charges, "--charges"),
+    "p_window": ("p_window", _parse_pair, None),
+    "max_v_weight": ("max_v_weight", int, "--max-v-weight"),
+    "suites": ("suites", _parse_names, "--suite"),
+    "seed": ("seed", int, "--seed"),
+    "workers": ("workers", int, "--workers"),
 }
 
 
 def build_config(args) -> RunConfig:
-    cfg = RunConfig()
+    """RunConfig from the defaults, then the config file, then the flags."""
+    settings = []
     if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            field, conv = _CONFIG_KEYS[key]
-            try:
-                cfg = _replace(cfg, field, conv(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"bad value for {key}: {value!r} ({exc})")
-    if getattr(args, "N", None) is not None:
-        cfg = _replace(cfg, "n", args.N)
-    if getattr(args, "lmax", None) is not None:
-        cfg = _replace(cfg, "l_max", args.lmax)
-    if getattr(args, "seed", None) is not None:
-        cfg = _replace(cfg, "seed", args.seed)
-    if getattr(args, "max_v_weight", None) is not None:
-        cfg = _replace(cfg, "max_v_weight", args.max_v_weight)
-    if getattr(args, "charges", None) is not None:
+        settings = [(key, key, value)
+                    for key, value in load_config_file(args.config).items()]
+    settings += [(flag, key, getattr(args, key))
+                 for key, (_, _, flag) in _OPTIONS.items()
+                 if getattr(args, key, None) is not None]
+    fields = {}
+    for name, key, value in settings:
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+        field, parse, _ = _OPTIONS[key]
         try:
-            charges = _parse_charges(args.charges)
+            fields[field] = parse(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad value for --charges: {args.charges!r} ({exc})")
-        cfg = _replace(cfg, "charges", charges)
-    if getattr(args, "workers", None) is not None:
-        cfg = _replace(cfg, "workers", args.workers)
-    if getattr(args, "suite", None):
-        cfg = _replace(cfg, "suites", tuple(args.suite))
-    return cfg.validate()
-
-
-def _replace(cfg: RunConfig, field: str, value) -> RunConfig:
-    return _dc_replace(cfg, **{field: value})
+            raise ConfigError(f"bad value for {name}: {value!r} ({exc})")
+    return replace(RunConfig(), **fields).validate()
 
 
 def _vec_json(vec: FockVector) -> dict:
@@ -358,7 +352,8 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--N", type=int, help="matrix index bound")
-        p.add_argument("--lmax", type=int, help="level truncation bound")
+        p.add_argument("--lmax", dest="L_max", metavar="LMAX", type=int,
+                       help="level truncation bound")
         p.add_argument("--seed", type=int, help="seed for randomized grids")
         p.add_argument("--max-v-weight", dest="max_v_weight", type=int,
                        help="largest algebra weight in the grids")
@@ -367,7 +362,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run verification suites")
     common(pv)
-    pv.add_argument("--suite", action="append", choices=SUITE_NAMES,
+    pv.add_argument("--suite", dest="suites", action="append", choices=SUITE_NAMES,
                     help="run only the named suite (repeatable)")
     pv.add_argument("--json", help="write the JSON report here ('-' = stdout)")
     pv.set_defaults(func=cmd_verify)

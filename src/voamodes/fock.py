@@ -43,7 +43,7 @@ from .heisenberg import (
     sugawara_l,
     zero_vector,
 )
-from .series import Laurent, rat, rat_str
+from .series import rat, rat_str
 
 Q = Fraction
 
@@ -305,20 +305,21 @@ class FockIntertwiner:
         return _trusted_vector(self.lam3, _pair_sum(
             w1.terms, self.lam1, w2.terms.items(), self.lam2, self.scale, lambda a: t))
 
-    def series(self, w1: FockVector, w2: FockVector, lo, hi) -> Laurent:
-        """Y(w1, x) w2 over the exponent window [lo, hi]."""
+    def series(self, w1: FockVector, w2: FockVector, lo, hi) -> dict:
+        """Y(w1, x) w2 over the exponent window [lo, hi]: {exponent: nonzero vector}."""
         if not (same_charge(w1.charge, self.lam1) and same_charge(w2.charge, self.lam2)):
             raise ValueError("intertwiner series take (source, right input) vectors")
         lo = rat(lo)
         t_hi = (rat(hi) - self.base_exponent).__floor__()
         _check_result_level(w1, w2, t_hi, self.level_cap, "series window")
+        # mode_series leaves out empty terms, so no value is the zero vector
         out: dict = {}
         for t, terms in mode_series(w1.terms, self.lam1, w2.terms, self.lam2, t_hi,
                                     self.scale).items():
             s = self.base_exponent + t
             if s >= lo:
                 out[s] = _trusted_vector(self.lam3, terms)
-        return Laurent(out)
+        return out
 
     def theta(self, k: int, l: int, w1: FockVector, w2: FockVector) -> FockVector:
         """Evaluation of [w1]_{kl}: kills w2 off level l, lands in level k.
@@ -342,8 +343,10 @@ class FockIntertwiner:
 
 
 def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,
-                    lo: int, hi: int) -> Laurent:
+                    lo: int, hi: int) -> dict:
     """Y(w, x)v on the right: e^{x L(-1)} Y_W(v, -x) w, over [lo, hi].
+
+    Returns {integer exponent: nonzero vector}.
 
     The modes of Y_W(v, z) w come from `mode_series`; the exponential of
     L(-1) is applied with the Sugawara operator.
@@ -361,4 +364,4 @@ def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,
                 _add_into(out.setdefault(t + a, {}), cur.terms)
             a += 1
             cur = sugawara_l(-1, cur).scale(Q(1, a))
-    return Laurent({s: _trusted_vector(module.lam, terms) for s, terms in out.items()})
+    return {s: _trusted_vector(module.lam, terms) for s, terms in out.items() if terms}

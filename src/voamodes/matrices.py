@@ -8,10 +8,19 @@ middle index n is the residue of
 
 with T the Taylor polynomial in x^-1 of order k+l+1 (so its inner sum
 runs to m = n).  The right action replaces the last factor by
-Y((1+x)^{-L(0)} v, -x(1+x)^{-1}) w and (1+x)^l by (1+x)^k; it can be
-evaluated three ways (directly, through L(0)-conjugation, or through the
-right vertex operator), and the three evaluations are kept as separate
-code paths so their agreement is a real check.
+Y((1+x)^{-L(0)} v, -x(1+x)^{-1}) w and (1+x)^l by (1+x)^k.  It is
+evaluated three ways, kept as separate code paths so their agreement is
+a real check.  On the t-th mode of Y_W(v_h, .) w (h = wt v_h):
+
+    direct       multiplies the two scalar series (1+x)^{-h} and
+                 z^t = (-1)^t x^t (1+x)^{-t} (z = -x(1+x)^{-1}) out as a
+                 Cauchy product of binomials;
+    conjugated   multiplies by the single series (-1)^t x^t (1+x)^{-h-t}
+                 that the L(0)-conjugation collapses to, so it agrees with
+                 the direct form by the Vandermonde identity;
+    right-op     multiplies e^{x L(-1)} Y_W(v, -x) (built from the modes
+                 and the Sugawara operator) by the dressing (1+x)^{L(0)} of
+                 w and the operator binomial (1+x)^{-(L(-1)+L(0))}.
 
 Residue entries accumulate in plain {partition: coefficient} dicts and
 wrap each result in exactly one FockVector, built through the trusted
@@ -49,7 +58,7 @@ from .heisenberg import (
     weight_of,
     zero_vector,
 )
-from .series import Laurent, binom_series, gen_binomial, rat
+from .series import gen_binomial, rat
 
 Q = Fraction
 
@@ -224,21 +233,24 @@ def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
                        l: int) -> FockVector:
     """Right action entry via Y_W((1+x)^{-L(0)} v, -x(1+x)^{-1}) w.
 
-    Substitutes z = -x(1+x)^{-1} into the mode expansion and multiplies
-    out the (1+x) powers as honest series products.
+    Substitutes z = -x(1+x)^{-1} into the mode expansion: the t-th mode
+    of v_h gets (1+x)^{-h} z^t = (-1)^t x^t (1+x)^{-h} (1+x)^{-t}, whose
+    x^(t+j) coefficient is the product sum_i C(-h,i) C(-t,j-i).
     """
     t_hi = k + l
-    acc = Laurent()
+    stuff: dict = {}
     for h in v.levels():
         v_h = v.level_component(h)
         series = mode_series(v_h.terms, ALGEBRA_CHARGE, w.terms, w.charge, t_hi)
         for t, terms in series.items():
-            # (1+x)^{-h} * z^t = (-1)^t x^t (1+x)^{-t-h}
-            sign = Q(-1) if t % 2 else Q(1)
-            vec = FockVector(w.charge, terms).scale(sign)
-            expanded = binom_series(-t - h, max(0, t_hi - t)).shift(t)
-            acc = acc + Laurent({Q(0): vec}).mul_scalar_series(expanded)
-    stuff = {int(e): vec.terms for e, vec in acc.terms.items() if e.denominator == 1}
+            sign = -1 if t % 2 else 1
+            top = t_hi - t + 1
+            dress = [gen_binomial(-h, i) for i in range(top)]
+            subst = [gen_binomial(-t, i) for i in range(top)]
+            for j in range(top):
+                cj = sum(dress[i] * subst[j - i] for i in range(j + 1))
+                if cj != 0:
+                    _add_into(stuff.setdefault(t + j, {}), terms, sign * cj)
     return _residue_against(stuff, w.charge, k, n, l)
 
 
@@ -278,8 +290,8 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     assembled: dict = {}
     for d, wv in dressed.items():
         ser = right_vertex_op(scratch, wv, v, lowest, t_hi - d)
-        for e, vec in ser.terms.items():
-            s = int(e) + d
+        for e, vec in ser.items():
+            s = e + d
             if s <= t_hi:
                 assembled[s] = assembled.get(s, zero_vector(charge)) + vec
     # (1+x)^{-(L(-1)+L(0))} through the operator binomial

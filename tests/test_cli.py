@@ -311,7 +311,10 @@ class _ClosedStdout:
     ["tables", "--target", "algebra", "--N", "0", "--max-v-weight", "1",
      "--json", "-"],
     ["verify", "--suite", "binomial-218"],
-], ids=["tables-json", "verify-echo"])
+    ["intertwiner", "--l1", "1/2", "--l2", "1/2", "--N", "1", "--json", "-"],
+    ["tables", "--target", "algebra", "--N", "0", "--max-v-weight", "1",
+     "--csv", "-"],
+], ids=["tables-json", "verify-echo", "intertwiner-json", "tables-csv"])
 def test_closed_stdout_exit_code(argv, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     assert main(argv) == 2

@@ -15,7 +15,7 @@ from voamodes.correspondence import (
     yf_series,
 )
 from voamodes.errors import OutOfTable
-from voamodes.fock import FockIntertwiner, FockModule
+from voamodes.fock import FockIntertwiner, FockModule, right_vertex_op
 from voamodes.heisenberg import (
     FockVector,
     conformal_vector,
@@ -96,8 +96,8 @@ def test_yf_series_matches_operator(table, Y):
                 ser_y = Y.series(w1, w2, lo, hi)
                 e = lo
                 while e <= hi:
-                    a = ser_f.coeff(e) or Y.target.zero()
-                    b = ser_y.coeff(e) or Y.target.zero()
+                    a = ser_f.get(e) or Y.target.zero()
+                    b = ser_y.get(e) or Y.target.zero()
                     assert a == b, (w1, w2, e)
                     e += 1
 
@@ -109,18 +109,40 @@ def test_yf_series_zero_charge_is_module_action(Y):
     w2 = M.basis(1)[0]
     ser = yf_series(f0, ONE, w2)
     # Y(1, x) w = w: a single x^0 coefficient
-    assert ser.coeff(0) == w2
-    assert all(vec == w2 for vec in ser.terms.values())
+    assert ser.get(0) == w2
+    assert all(vec == w2 for vec in ser.values())
 
 
-def test_yf_series_window(table, Y):
-    hw1, hw2 = Y.source.highest(), Y.right_input.highest()
-    shift = Y.target.h - Y.right_input.h
-    lo = shift - weight_of(hw1)
-    ser = yf_series(table, hw1, hw2, lo, lo + 2)
-    assert sorted(ser.terms) == [lo, lo + 1, lo + 2]
-    with pytest.raises(OutOfTable):
-        yf_series(table, hw1, hw2, lo, lo + 40)
+def test_series_values_are_never_zero(table, Y):
+    """No series maps an exponent to the zero vector, even where terms cancel."""
+    hw3 = Y.target.highest()
+    # the two entries meet at exponent h3 - h2 - 1 - 1/8 = -3/4, with
+    # opposite signs on w1 = |1/2> - a(-1)|1/2> and w2 = |1/2> + a(-1)|1/2>
+    f = (table.zeros_like().perturbed((0, 1, (), (1,)), hw3)
+         .perturbed((0, 0, (1,), ()), hw3))
+    hw1, a1 = Y.source.highest(), Y.source.basis(1)[0]
+    w2 = Y.right_input.highest() + Y.right_input.basis(1)[0]
+    assert yf_series(f, hw1 - a1, w2) == {}
+    assert yf_series(f, hw1, w2) == {Q(-3, 4): hw3}
+    # e^{xL(-1)} Y(a(-1), -x)|1> at x^0: a(-1)|1> - L(-1)|1> = 0
+    M1 = FockModule(1, level_cap=8)
+    assert 0 not in right_vertex_op(M1, M1.highest(), A1, -1, 2)
+    mixed1 = [hw1 - a1, hw1 + a1.scale(Q(1, 2)) - Y.source.basis(2)[1]]
+    mixed2 = [w2, Y.right_input.highest() - Y.right_input.basis(2)[0]]
+    for w1 in mixed1:
+        for w2 in mixed2:
+            for g in (f, table):
+                ser = yf_series(g, w1, w2)
+                assert all(not vec.is_zero() for vec in ser.values())
+            e0 = Y.base_exponent
+            ser = Y.series(w1, w2, e0 - 4, e0 + 2)
+            assert all(not vec.is_zero() for vec in ser.values())
+    M = FockModule(Q(1, 2), level_cap=8)
+    for module, w in ((M1, M1.highest()), (M1, M1.basis(1)[0] - M1.highest()),
+                      (M, M.highest() + M.basis(2)[0])):
+        for v in (A1, ONE - A1, OM + A1):
+            ser = right_vertex_op(module, w, v, -4, 3)
+            assert all(not vec.is_zero() for vec in ser.values())
 
 
 def test_roundtrip(table):
@@ -223,7 +245,7 @@ def test_zero_table_zero_modes(table, Y):
     for w1 in [Y.source.highest()] + Y.source.basis(1):
         for l in range(3):
             for w2 in Y.right_input.basis(l):
-                assert yf_series(zero, w1, w2).is_zero()
+                assert not yf_series(zero, w1, w2)
 
 
 def test_reachability(table):

@@ -191,11 +191,11 @@ def test_vertex_series_examples():
     Y_V = FockIntertwiner(0, 0, level_cap=10)
     u = FockVector.basis(0, (2, 1))
     ser = Y_V.series(ONE, u, -2, 2)
-    assert ser.coeff(0) == u and ser.coeff(1) is None and ser.coeff(-1) is None
+    assert ser.get(0) == u and ser.get(1) is None and ser.get(-1) is None
     ser = Y_V.series(OM, OM, -4, -4)
-    assert ser.coeff(-4) == ONE.scale(Q(1, 2))
+    assert ser.get(-4) == ONE.scale(Q(1, 2))
     ser = Y_V.series(A1, A1, -2, -2)
-    assert ser.coeff(-2) == ONE
+    assert ser.get(-2) == ONE
 
 
 def test_weight_and_homogeneity():

@@ -25,6 +25,7 @@ from voamodes.matrices import (
     probe_equal,
     right_entry,
 )
+from voamodes.series import gen_binomial
 
 V = FockModule(0, level_cap=12)
 ONE = vacuum()
@@ -264,35 +265,54 @@ def test_first_nonzero_image_finds_a_witness():
     assert first_nonzero_image(FockIntertwiner(0, 0, level_cap=4), mat) is None
 
 
+def truncated_taylor(alpha: int, order: int) -> dict:
+    """Taylor polynomial in x^-1 of the given order of (x+1)^alpha, as {exponent: c}.
+
+    Expanding (x+1)^alpha = sum_m C(alpha,m) x^(alpha-m), the term x^(alpha-m)
+    carries x^-1 to the power m-alpha; keeping powers of x^-1 at most `order`
+    means keeping m <= alpha + order.  When alpha + order < 0 the polynomial
+    is empty.
+    """
+    out = {}
+    for m in range(0, alpha + order + 1):
+        c = gen_binomial(alpha, m)
+        if c != 0:
+            out[Q(alpha - m)] = c
+    return out
+
+
+def residue(series: dict, zero=Q(0)):
+    """Coefficient of x^-1 of {exponent: c}; `zero` when the term is absent."""
+    return series.get(Q(-1), zero)
+
+
 def series_route_left_entry(v, w, k, n, l):
     """Independent evaluation: assemble the whole integrand as one series
     (truncated Taylor polynomial times (1+x)^l times the dressed vertex
     series) and take its residue, instead of collecting engine
     coefficients by index arithmetic."""
-    from voamodes.fock import FockModule
-    from voamodes.heisenberg import weight_of, zero_vector
-    from voamodes.series import Laurent, binom_series, truncated_taylor
+    from voamodes.heisenberg import zero_vector
 
     M = FockModule(w.charge, level_cap=40)
-    out = zero_vector(w.charge)
+    zero = zero_vector(w.charge)
+    out = zero
     for hv in sorted({sum(nu) for nu in v.terms}):
         v_h = FockVector(0, {p: c for p, c in v.terms.items() if sum(p) == hv})
         # Y(v, x) w over a window wide enough for the residue
         lo = -int(max(w.levels(), default=0) + hv + 1)
         hi = k + l + 1
-        modes = {}
-        for t in range(lo, hi + 1):
-            vec = M.mode(v_h, -t - 1, w)
-            if not vec.is_zero():
-                modes[t] = vec
-        ser = Laurent(modes)
-        # order k+l+1 makes the Taylor polynomial stop at m = n
-        scalar = truncated_taylor(-k + n - l - 1, k + l + 1).mul_scalar_series(
-            binom_series(l + hv, l + hv))
-        full = ser.mul_scalar_series(scalar)
-        got = full.coeff(-1)
-        if got is not None:
-            out = out + got
+        modes = {t: M.mode(v_h, -t - 1, w) for t in range(lo, hi + 1)}
+        # order k+l+1 makes the Taylor polynomial stop at m = n; times
+        # (1+x)^l (1+x)^{L(0)} on the weight-hv piece
+        scalar = {}
+        for e, c in truncated_taylor(-k + n - l - 1, k + l + 1).items():
+            for m in range(l + hv + 1):
+                scalar[e + m] = scalar.get(e + m, 0) + c * gen_binomial(l + hv, m)
+        full = {}
+        for e, c in scalar.items():
+            for t, vec in modes.items():
+                full[e + t] = full.get(e + t, zero) + vec.scale(c)
+        out = out + residue(full, zero)
     return out
 
 
@@ -453,8 +473,8 @@ def test_results_are_canonical_and_own_their_terms():
     def check(u, v, w, w2, k, n, l, m, t):
         # u, v, w and w2 come from the FockVector constructor; the series
         # coefficients come out of the {t: terms} collector
-        coeffs = [*Y.series(w, w2, e0 - 6, e0 + t).terms.values(),
-                  *right_vertex_op(M, w, v, -7, t).terms.values()]
+        coeffs = [*Y.series(w, w2, e0 - 6, e0 + t).values(),
+                  *right_vertex_op(M, w, v, -7, t).values()]
         for vec in (u, v, w, w2, u + v, u - u, u.scale(Q(-2, 3)), u.scale(0),
                     u.level_component(2), sugawara_l(m, w), l_zero(w),
                     M.mode(v, t, w), Y.mode(-t - 1 - e0, w, w2),
@@ -483,10 +503,10 @@ def test_results_are_canonical_and_own_their_terms():
             for u in (FockVector.basis(Q(1, 2), ()), FockVector.basis(Q(1, 2), (1,))):
                 _assert_canonical(Y.theta(k, l, u, w2))
                 _assert_canonical(table.value(k, l, u, w2))
-                for vec in Y.series(u, w2, e0 - 3, e0 + k).terms.values():
+                for vec in Y.series(u, w2, e0 - 3, e0 + k).values():
                     _assert_canonical(vec)
             for v in (ONE, A1):
-                for vec in right_vertex_op(M, w, v, -4, k).terms.values():
+                for vec in right_vertex_op(M, w, v, -4, k).values():
                     _assert_canonical(vec)
 
 
