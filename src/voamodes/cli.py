@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import replace
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .correspondence import MapTable
 from .errors import TruncationOverflow
@@ -27,6 +28,7 @@ from .series import rat, rat_str
 from .suites import ConfigError, RunConfig, SUITE_NAMES, algebra_basis, run_suites
 
 REPORT_SCHEMA = "voa-modes-report/1"
+TABLES_SCHEMA = "voa-modes-tables/1"
 TABLE_COLUMNS = ("action", "charge", "k", "n", "l", "left", "right", "result",
                  "coeff")
 
@@ -226,11 +228,14 @@ def cmd_tables(args) -> int:
     if args.target not in ("algebra", "bimodule"):
         print("target must be 'algebra' or 'bimodule'", file=sys.stderr)
         return EXIT_CONFIG
+    # every entry is computed before the output is opened, so a truncation
+    # overflow leaves no partial file; only the formatting is streamed
     try:
-        rows = _table_rows(cfg, args.target)
+        entries = list(_table_entries(cfg, args.target))
     except TruncationOverflow as exc:
         print(f"truncation overflow: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
+    rows = _table_rows(entries)
     if args.csv:
         def write(fh):
             writer = csv.writer(fh)
@@ -239,58 +244,87 @@ def cmd_tables(args) -> int:
 
         ok = _write_file(args.csv, write, newline="")
     else:
-        payload = {
-            "schema": "voa-modes-tables/1",
-            "target": args.target,
-            "config": cfg.echo(),
-            "rows": [dict(zip(TABLE_COLUMNS, row)) for row in rows],
-        }
-        ok = _dump_json(payload, args.json)
+        def write(fh):
+            _write_table_json(fh.write, cfg, args.target, rows)
+
+        ok = _write_file("-" if args.json is None else args.json, write)
     return EXIT_OK if ok else EXIT_CONFIG
 
 
-def _table_rows(cfg: RunConfig, target: str):
-    vb = algebra_basis(cfg.max_v_weight)
-    rows = []
+def _table_entries(cfg: RunConfig, target: str):
+    """(action, charge, k, n, l, left, right, entry) per entry, in row order.
+
+    The charge and the two factor partitions are already rendered.
+    """
+    vb = [(v, _partition_str(next(iter(v.terms))))
+          for v in algebra_basis(cfg.max_v_weight)]
     idx = range(cfg.n + 1)
     if target == "algebra":
-        for u in vb:
-            pu = next(iter(u.terms))
-            for v in vb:
-                pv = next(iter(v.terms))
+        for u, pu in vb:
+            for v, pv in vb:
                 for k in idx:
                     for n in idx:
                         for l in idx:
-                            entry = left_entry(u, v, k, n, l)
-                            for p, c in sorted(entry.terms.items()):
-                                rows.append(("product", "0", k, n, l,
-                                             _partition_str(pu),
-                                             _partition_str(pv),
-                                             _partition_str(p), rat_str(c)))
-        return rows
+                            yield ("product", "0", k, n, l, pu, pv,
+                                   left_entry(u, v, k, n, l))
+        return
     for charge in cfg.charges:
         M = FockModule(charge, cfg.l_max)
-        for v in vb:
-            pv = next(iter(v.terms))
-            for lw in range(cfg.n + 1):
+        cs = rat_str(charge)
+        for v, pv in vb:
+            for lw in idx:
                 for w in M.basis(lw):
-                    pw = next(iter(w.terms))
+                    pw = _partition_str(next(iter(w.terms)))
                     for k in idx:
                         for n in idx:
                             for l in idx:
-                                entry = left_entry(v, w, k, n, l)
-                                for p, c in sorted(entry.terms.items()):
-                                    rows.append(("left", rat_str(charge), k, n,
-                                                 l, _partition_str(pv),
-                                                 _partition_str(pw),
-                                                 _partition_str(p), rat_str(c)))
-                                entry = right_entry(w, v, k, n, l)
-                                for p, c in sorted(entry.terms.items()):
-                                    rows.append(("right", rat_str(charge), k, n,
-                                                 l, _partition_str(pw),
-                                                 _partition_str(pv),
-                                                 _partition_str(p), rat_str(c)))
-    return rows
+                                yield ("left", cs, k, n, l, pv, pw,
+                                       left_entry(v, w, k, n, l))
+                                yield ("right", cs, k, n, l, pw, pv,
+                                       right_entry(w, v, k, n, l))
+
+
+def _table_rows(entries):
+    """One TABLE_COLUMNS tuple per term of each entry, partitions sorted.
+
+    A canonical coefficient is an int or a Fraction with denominator > 1,
+    so str() renders it as rat_str does.
+    """
+    parts: dict = {}
+    for action, charge, k, n, l, left, right, entry in entries:
+        for p, c in sorted(entry.terms.items()):
+            result = parts.get(p)
+            if result is None:
+                result = parts[p] = _partition_str(p)
+            yield (action, charge, k, n, l, left, right, result, str(c))
+
+
+# one row object of the tables JSON, as json.dumps(indent=2, sort_keys=True)
+# lays it out inside the "rows" list: keys in sorted order, each slot
+# numbered by its column's TABLE_COLUMNS position
+_ROW_JSON = ("    {{\n" + ",\n".join(
+    f'      "{name}": {{{TABLE_COLUMNS.index(name)}}}'
+    for name in sorted(TABLE_COLUMNS)) + "\n    }}")
+
+
+def _write_table_json(write, cfg: RunConfig, target: str, rows) -> None:
+    """The tables payload, written as _dump_json would write it, row by row.
+
+    The top-level keys go out in sorted order: config, rows, schema, target.
+    """
+    enc = encode_basestring_ascii
+    write('{\n  "config": ')
+    _write_json(write, cfg.echo(), "  ")
+    write(',\n  "rows": [')
+    sep = "\n"
+    fmt = _ROW_JSON.format
+    for action, charge, k, n, l, left, right, result, coeff in rows:
+        write(sep + fmt(enc(action), enc(charge), k, n, l, enc(left), enc(right),
+                        enc(result), enc(coeff)))
+        sep = ",\n"
+    # no rows: json.dumps prints an empty list as []
+    write(("]" if sep == "\n" else "\n  ]")
+          + f',\n  "schema": {enc(TABLES_SCHEMA)},\n  "target": {enc(target)}\n}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -309,13 +309,16 @@ def roundtrip(f: MapTable) -> SuiteReport:
     """
     report = SuiteReport("roundtrip")
     shift = f.target.h - f.right_input.h
+    series: dict = {}  # (nu, mu) -> yf_series on the two basis vectors
     for key in f.sorted_keys():
         k, l, nu, mu = key
-        w1 = FockVector.basis(f.lam1, nu)
-        w2 = FockVector.basis(f.lam2, mu)
+        ser = series.get((nu, mu))
+        if ser is None:
+            ser = series[(nu, mu)] = yf_series(
+                f, FockVector.basis(f.lam1, nu), FockVector.basis(f.lam2, mu))
         wt1 = f.source.h + sum(nu)
         e = shift - l + k - wt1
-        got = yf_series(f, w1, w2).get(e) or f.target.zero()
+        got = ser.get(e) or f.target.zero()
         expect = f.entries[key]
         report.record(got == expect, lambda: {
             "entry": {"k": k, "l": l, "w1": list(nu), "w2": list(mu)},

@@ -277,27 +277,21 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     charge = w.charge
     scratch = FockModule(charge, level_cap=10 ** 9)
     lowest = -(max(w.levels(), default=0) + max(v.levels(), default=0) + 1)
-    # (1+x)^{L(0)} w as a series of vectors (rational binomials per level)
-    dressed: dict = {}
-    for lev in w.levels():
-        w_lev = w.level_component(lev)
-        hw = scratch.h + lev
-        for d in range(0, t_hi - lowest + 1):
-            c = gen_binomial(hw, d)
-            if c != 0:
-                dressed[d] = dressed.get(d, zero_vector(charge)) + w_lev.scale(c)
-    # right vertex operator, shifted by the dressing degree
+    # Y_{WV}((1+x)^{L(0)} w, x) v: on level lev of w the dressing is the
+    # scalar series (1+x)^{h_W + lev}, so one right vertex operator per
+    # level, each mode shifted by the binomial's degree d
     assembled: dict = {}
-    for d, wv in dressed.items():
-        ser = right_vertex_op(scratch, wv, v, lowest, t_hi - d)
+    for lev in w.levels():
+        hw = scratch.h + lev
+        ser = right_vertex_op(scratch, w.level_component(lev), v, lowest, t_hi)
         for e, vec in ser.items():
-            s = e + d
-            if s <= t_hi:
-                assembled[s] = assembled.get(s, zero_vector(charge)) + vec
+            for d in range(t_hi - e + 1):
+                _add_into(assembled.setdefault(e + d, {}), vec.terms,
+                          gen_binomial(hw, d))
     # (1+x)^{-(L(-1)+L(0))} through the operator binomial
     final: dict = {}
-    for s, vec in sorted(assembled.items()):
-        cur = vec
+    for s, terms in sorted(assembled.items()):
+        cur = _trusted_vector(charge, terms)
         d = 0
         while s + d <= t_hi and not cur.is_zero():
             final[s + d] = final.get(s + d, zero_vector(charge)) + cur

@@ -178,16 +178,21 @@ def suite_homomorphism(ctx: RunContext) -> SuiteReport:
     rep = SuiteReport("homomorphism")
     modules = [ctx.module(c) for c in cfg.charges]
     idx = range(cfg.n + 1)
+    inner: dict = {}  # (v, n, l, module, w) indices -> M.theta(n, l, v, w)
     for u in ctx.v_basis:
-        for v in ctx.v_basis:
+        for vi, v in enumerate(ctx.v_basis):
             for k in idx:
                 for n in idx:
                     for l in idx:
                         entry = left_entry(u, v, k, n, l)
-                        for M in modules:
-                            for w in M.omega0_basis(cfg.n):
+                        for mi, M in enumerate(modules):
+                            for wi, w in enumerate(M.omega0_basis(cfg.n)):
                                 lhs = M.theta(k, l, entry, w)
-                                rhs = M.theta(k, n, u, M.theta(n, l, v, w))
+                                key = (vi, n, l, mi, wi)
+                                mid = inner.get(key)
+                                if mid is None:
+                                    mid = inner[key] = M.theta(n, l, v, w)
+                                rhs = M.theta(k, n, u, mid)
                                 rep.record(lhs == rhs, lambda: _render(
                                     "homomorphism", dict(k=k, n=n, l=l, u=u,
                                                          v=v, w=w, module=M),

@@ -1,5 +1,7 @@
+import csv
 import json
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import jsonschema
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voamodes.cli import _dump_json, main
+from voamodes.cli import TABLE_COLUMNS, _dump_json, _write_table_json, main
+from voamodes.errors import TruncationOverflow
+from voamodes.matrices import right_entry
 from voamodes.suites import SUITE_NAMES, ConfigError, RunConfig, run_suites
 
 SCHEMA = json.loads(
@@ -133,6 +137,62 @@ def test_tables_bimodule(tmp_path):
             if r["action"] == "left" and r["left"] == "" and r["right"] == ""
             and r["k"] == 0 and r["n"] == 0 and r["l"] == 0]
     assert rows[0]["result"] == "" and rows[0]["coeff"] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target", "algebra", "--N", "1"],
+    ["--target", "bimodule", "--N", "1", "--charges=-1/2,1"],
+], ids=["algebra", "bimodule"])
+def test_tables_json_is_indented_dumps(argv, tmp_path):
+    # the streamed rows against json.dumps, and against the CSV rows
+    out, rows_csv = tmp_path / "t.json", tmp_path / "t.csv"
+    assert main(["tables", *argv, "--json", str(out)]) == 0
+    assert main(["tables", *argv, "--csv", str(rows_csv)]) == 0
+    text = out.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with open(rows_csv, newline="", encoding="utf-8") as fh:
+        header, *lines = csv.reader(fh)
+    assert header == list(TABLE_COLUMNS)
+    assert [[str(row[name]) for name in header] for row in payload["rows"]] == lines
+    assert len(lines) > 100
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [("left", "1/2", 0, 1, 2, "", "2,1", "3", "-5/4"),
+     ("a\"b\\", "\u00e9\n", 10, 0, 7, "\u2603", "", "1,1", "0")],
+], ids=["empty", "escaped"])
+def test_tables_json_rows_template(rows):
+    cfg = RunConfig(n=1, charges=(Q(1, 2),))
+    chunks = []
+    _write_table_json(chunks.append, cfg, "bimodule", iter(rows))
+    payload = {"config": cfg.echo(), "schema": "voa-modes-tables/1",
+               "target": "bimodule",
+               "rows": [dict(zip(TABLE_COLUMNS, row)) for row in rows]}
+    assert "".join(chunks) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_tables_truncation_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # an overflow in the last of the 2 * 4 * 27 right entries (two algebra
+    # vectors, four module vectors, the (k, n, l) grid) still exits 3
+    # before the output is opened
+    import voamodes.cli as cli
+
+    calls = []
+
+    def last_fails(*args):
+        calls.append(args)
+        if len(calls) == 2 * 4 * 27:
+            raise TruncationOverflow("level above cap")
+        return right_entry(*args)
+
+    monkeypatch.setattr(cli, "right_entry", last_fails)
+    out = tmp_path / "t.json"
+    assert main(["tables", "--target", "bimodule", "--N", "2", "--max-v-weight",
+                 "1", "--charges=1/2", "--lmax", "4", "--json", str(out)]) == 3
+    assert "truncation overflow" in _assert_one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_intertwiner_command(tmp_path):
