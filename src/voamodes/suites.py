@@ -176,7 +176,8 @@ def suite_homomorphism(ctx: RunContext) -> SuiteReport:
     """theta(u . v) = theta(u) theta(v) on every module, plus associativity."""
     cfg = ctx.cfg
     rep = SuiteReport("homomorphism")
-    modules = [ctx.module(c) for c in cfg.charges]
+    modules = [(M, M.omega0_basis(cfg.n))
+               for M in (ctx.module(c) for c in cfg.charges)]
     idx = range(cfg.n + 1)
     inner: dict = {}  # (v, n, l, module, w) indices -> M.theta(n, l, v, w)
     for u in ctx.v_basis:
@@ -185,8 +186,8 @@ def suite_homomorphism(ctx: RunContext) -> SuiteReport:
                 for n in idx:
                     for l in idx:
                         entry = left_entry(u, v, k, n, l)
-                        for mi, M in enumerate(modules):
-                            for wi, w in enumerate(M.omega0_basis(cfg.n)):
+                        for mi, (M, basis) in enumerate(modules):
+                            for wi, w in enumerate(basis):
                                 lhs = M.theta(k, l, entry, w)
                                 key = (vi, n, l, mi, wi)
                                 mid = inner.get(key)

@@ -150,7 +150,10 @@ def test_tables_json_is_indented_dumps(argv, tmp_path):
     assert main(["tables", *argv, "--csv", str(rows_csv)]) == 0
     text = out.read_text(encoding="utf-8")
     payload = json.loads(text)
-    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # line lists compare like the texts, and a mismatch reports its first line
+    # instead of a diff of the whole file
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert text.split("\n") == want.split("\n")
     with open(rows_csv, newline="", encoding="utf-8") as fh:
         header, *lines = csv.reader(fh)
     assert header == list(TABLE_COLUMNS)
