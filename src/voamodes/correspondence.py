@@ -83,18 +83,6 @@ class MapTable:
         return MapTable(self.lam1, self.lam2, self.kmax, self.w1_levels, {},
                         self.level_cap)
 
-    def add(self, other: "MapTable") -> "MapTable":
-        out = dict(self.entries)
-        for key, vec in other.entries.items():
-            cur = out.get(key)
-            merged = vec if cur is None else cur + vec
-            if merged.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = merged
-        return MapTable(self.lam1, self.lam2, self.kmax, self.w1_levels, out,
-                        self.level_cap)
-
     def perturbed(self, key, delta: FockVector) -> "MapTable":
         """A copy with one entry shifted; for sensitivity tests."""
         out = dict(self.entries)
@@ -259,16 +247,18 @@ def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
 def _jacobi_point(f, W1, W2, W3, v, hv, w1, lev1, w2, k, l, n, p):
     L = l + p
     left, right, modes = jacobi_sums(k, l, n, p, hv, lev1)
-    lhs = f.target.zero()
+    lhs: dict = {}
     for mid, c in left:
-        lhs = lhs + W3.theta(k, mid, v, f.value(mid, L, w1, w2)).scale(c)
-    rhs = f.target.zero()
+        _add_into(lhs, W3.theta(k, mid, v, f.value(mid, L, w1, w2)).terms, c)
+    rhs: dict = {}
     for q, c in right:
-        rhs = rhs + f.value(k, q, w1, W2.theta(q, L, v, w2)).scale(c)
+        _add_into(rhs, f.value(k, q, w1, W2.theta(q, L, v, w2)).terms, c)
     for i, c in modes:
         shifted = W1.mode(v, i, w1)
         if not shifted.is_zero():
-            rhs = rhs + f.value(k, L, shifted, w2).scale(c)
+            _add_into(rhs, f.value(k, L, shifted, w2).terms, c)
+    lhs = _trusted_vector(f.lam3, lhs)
+    rhs = _trusted_vector(f.lam3, rhs)
     return lhs == rhs, lambda: {
         "point": {"k": k, "l": l, "n": n, "p": p},
         "v": repr(v), "w1": repr(w1), "w2": repr(w2),
@@ -367,11 +357,16 @@ def reachability_closure(module: FockModule, n: int, generators,
     Starting from the levels 0..n, repeatedly applies the evaluation maps
     of single-entry matrices over the given algebra vectors and verifies
     the span reaches the full basis of every level up to the module cap.
+    A level whose span already has a row per basis vector is not
+    evaluated into: a full span rejects every vector, so such an image
+    could neither grow a span nor join the frontier, and the recorded
+    dimensions are those of the exhaustive closure.
     """
     report = SuiteReport("reachability")
     cap = module.level_cap
     theta = module.theta_dual if dual else module.theta
     spans = {lev: _Span() for lev in range(cap + 1)}
+    full = {lev: len(partitions_of(lev)) for lev in range(cap + 1)}
     frontier = []
     for lev in range(min(n, cap) + 1):
         for b in module.basis(lev):
@@ -383,6 +378,8 @@ def reachability_closure(module: FockModule, n: int, generators,
             l = w.level()
             for v in generators:
                 for k in range(cap + 1):
+                    if spans[k].dim() == full[k]:
+                        continue
                     image = theta(k, l, v, w)
                     if image.is_zero():
                         continue
@@ -390,7 +387,7 @@ def reachability_closure(module: FockModule, n: int, generators,
                         new_frontier.append(image)
         frontier = new_frontier
     for lev in range(cap + 1):
-        want = len(partitions_of(lev))
+        want = full[lev]
         got = spans[lev].dim()
         report.record(got == want, lambda: {
             "level": lev, "reached": got, "basis": want})

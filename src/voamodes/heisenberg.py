@@ -158,10 +158,6 @@ def _acc(target: dict, key, coeff) -> None:
     target[key] = coeff
 
 
-def apply_creator(d: int, terms: dict) -> dict:
-    return {_insert_part(p, d): c for p, c in terms.items()}
-
-
 def apply_annihilator(k: int, terms: dict) -> dict:
     out = {}
     for p, c in terms.items():

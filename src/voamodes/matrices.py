@@ -45,13 +45,14 @@ from .fock import FockIntertwiner, FockModule, mode_series, right_vertex_op
 from .heisenberg import (
     ALGEBRA_CHARGE,
     FockVector,
+    _acc,
     _add_into,
     _canon,
+    _scale_terms,
     _trusted_vector,
     conformal_vector,
     expand_pair,
     intern_charge,
-    l_zero,
     same_charge,
     sugawara_l,
     vacuum,
@@ -268,7 +269,10 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     """{s: terms} of (1+x)^{-(L(-1)+L(0))} Y_{WV}((1+x)^{L(0)} w, x) v up to x^t_hi.
 
     Built from the right vertex operator and the Sugawara operators
-    alone, sharing no series code with the other two forms.  Shared by
+    alone, sharing no series code with the other two forms.  Each step
+    of the operator binomial is one pass: the fresh terms of one
+    `sugawara_l(-1)` call take the L(0) + d - 1 part, a scalar per
+    partition, in place, and are scaled once by -1/d.  Shared by
     every entry with k + l = t_hi; must not be mutated.  Callers sweep n
     inside (w, v, k), so a few entries keep every reuse: 16 hit as often
     as 64 in `three-forms` at N=1 and N=2 (120 and 528 hits), with less
@@ -288,17 +292,22 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
             for d in range(t_hi - e + 1):
                 _add_into(assembled.setdefault(e + d, {}), vec.terms,
                           gen_binomial(hw, d))
-    # (1+x)^{-(L(-1)+L(0))} through the operator binomial
+    # (1+x)^{-(L(-1)+L(0))} through the operator binomial: step d takes
+    # cur to -(L(-1) + L(0) + d - 1) cur / d
+    h = scratch.h
     final: dict = {}
-    for s, terms in sorted(assembled.items()):
-        cur = _trusted_vector(charge, terms)
+    for s, cur in sorted(assembled.items()):
         d = 0
-        while s + d <= t_hi and not cur.is_zero():
-            final[s + d] = final.get(s + d, zero_vector(charge)) + cur
+        while s + d <= t_hi and cur:
+            _add_into(final.setdefault(s + d, {}), cur)
             d += 1
-            cur = (sugawara_l(-1, cur) + l_zero(cur)
-                   + cur.scale(d - 1)).scale(Q(-1, d))
-    return {s: vec.terms for s, vec in final.items()}
+            step = sugawara_l(-1, _trusted_vector(charge, cur)).terms
+            for p, c in cur.items():
+                m = h + sum(p) + d - 1
+                if m:  # _acc would store a zero for an absent key
+                    _acc(step, p, c * m)
+            cur = _scale_terms(step, Q(-1, d))
+    return final
 
 
 @lru_cache(maxsize=1 << 18)
@@ -400,15 +409,17 @@ def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
         raise ValueError("algebra weights are integers")
     left, right, modes = jacobi_sums(k, l, n, p, int(hv),
                                      max(w.levels(), default=0))
-    acc = zero_vector(w.charge)
+    # one fresh dict; the cached entries' terms are only read
+    acc: dict = {}
     for i, c in left:
-        acc = acc + left_entry(v, w, k, i, l + p).scale(c)
+        _add_into(acc, left_entry(v, w, k, i, l + p).terms, c)
     for q, c in right:
-        acc = acc - right_entry(w, v, k, q, l + p).scale(c)
+        _add_into(acc, right_entry(w, v, k, q, l + p).terms, -c)
     for i, c in modes:
-        acc = acc - module.mode(v, i, w).scale(c)
-    return IndexedMatrix.single(acc, k, l + p) if not acc.is_zero() else \
-        IndexedMatrix.zero(w.charge)
+        _add_into(acc, module.mode(v, i, w).terms, -c)
+    if not acc:
+        return IndexedMatrix.zero(w.charge)
+    return IndexedMatrix.single(_trusted_vector(w.charge, acc), k, l + p)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,8 @@ class RunConfig:
             raise ConfigError("empty p window")
         if self.max_v_weight < 1:
             raise ConfigError("max_v_weight must be positive")
+        if not self.suites:
+            raise ConfigError("suites must name at least one suite")
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ConfigError(f"unknown suites: {', '.join(unknown)}")

@@ -82,6 +82,20 @@ def test_config_file_errors(tmp_path):
     assert main(["verify", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("line", ["suites =\n", "suites = ,\n"])
+def test_config_file_empty_suites(tmp_path, capsys, line):
+    # an empty suite list would run nothing and report a vacuous pass
+    cfgfile = tmp_path / "empty.cfg"
+    cfgfile.write_text(line)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfgfile), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: suites must name at least one suite"]
+    assert not out.exists()
+
+
 def test_truncation_exit_code(capsys):
     # the certification grid at N=2 needs index 6, beyond L_max=4
     code = main(["verify", "--lmax", "4", "--suite", "jacobi-cert"])

@@ -155,6 +155,18 @@ def test_roundtrip(table):
         assert third.entries[key] == table.entries[key].scale(Q(1, 3))
 
 
+def _add_tables(a: MapTable, b: MapTable) -> MapTable:
+    """The entrywise sum of two tables on one grid; zero sums are dropped."""
+    out = dict(a.entries)
+    for key, vec in b.entries.items():
+        merged = out[key] + vec if key in out else vec
+        if merged.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = merged
+    return MapTable(a.lam1, a.lam2, a.kmax, a.w1_levels, out, a.level_cap)
+
+
 def test_table_linearity(table, Y):
     # the table of c Y is c times the table of Y
     Yc = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=8)
@@ -163,7 +175,7 @@ def test_table_linearity(table, Y):
     for key, vec in fc.entries.items():
         assert vec == table.entries[key].scale(Q(5, 7))
     # tables add entrywise
-    s = table.add(table.scale(-1))
+    s = _add_tables(table, table.scale(-1))
     assert s.is_zero()
 
 
@@ -260,6 +272,51 @@ def test_reachability(table):
     M = FockModule(Q(1, 2), level_cap=6)
     rep = reachability_closure(M, 2, [ONE])
     assert not rep.ok
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_reachability_skips_full_levels(monkeypatch, dual):
+    from voamodes import correspondence
+    from voamodes.heisenberg import partitions_of
+
+    made = []
+
+    class RecordingSpan(correspondence._Span):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(correspondence, "_Span", RecordingSpan)
+    M = FockModule(Q(1, 2), level_cap=6)
+    name = "theta_dual" if dual else "theta"
+    inner = getattr(M, name)
+    calls = []
+
+    def theta(k, l, v, w):
+        # one span per level, made in level order
+        assert made[k].dim() < len(partitions_of(k)), (k, l)
+        calls.append(k)
+        return inner(k, l, v, w)
+
+    setattr(M, name, theta)
+    gens = FockModule(0, level_cap=6).omega0_basis(2)
+    rep = reachability_closure(M, 1, gens, dual=dual)
+    assert rep.ok and rep.cases == 7
+    assert len(made) == 7 and calls and max(calls) == 6
+
+
+def test_reachability_reports_an_unreached_level():
+    # a module whose evaluation maps never land in level 3: the skip of
+    # full levels must not hide the missing one
+    class Blind(FockModule):
+        def theta(self, k, l, v, w):
+            return self.zero() if k == 3 else super().theta(k, l, v, w)
+
+    gens = FockModule(0, level_cap=6).omega0_basis(2)
+    rep = reachability_closure(Blind(Q(1, 2), level_cap=5), 1, gens)
+    assert not rep.ok and rep.cases == 6
+    assert rep.first_failure == {"level": 3, "reached": 0, "basis": 3}
+    assert rep.passed == 5
 
 
 def test_span_rows_stay_exact(monkeypatch):

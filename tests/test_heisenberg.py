@@ -17,7 +17,6 @@ from voamodes.heisenberg import (
     _merge_parts,
     _scale_terms,
     apply_annihilator,
-    apply_creator,
     conformal_vector,
     expand_pair,
     partitions_of,
@@ -72,6 +71,11 @@ def virasoro_oracle(m: int, vec: FockVector) -> FockVector:
     return out
 
 
+def _apply_creator(d: int, terms: dict) -> dict:
+    """a(-d) on {partition: coeff} terms: insert the part d."""
+    return {_insert_part(p, d): c for p, c in terms.items()}
+
+
 def dense_sugawara_oracle(m: int, vec: FockVector) -> FockVector:
     """L(m) as (1/2) :a(-j)a(j+m): summed over every j in [-top, top]."""
     out: dict = {}
@@ -81,7 +85,7 @@ def dense_sugawara_oracle(m: int, vec: FockVector) -> FockVector:
             return apply_annihilator(mode, terms)
         if mode == 0:
             return _scale_terms(terms, vec.charge)
-        return apply_creator(-mode, terms)
+        return _apply_creator(-mode, terms)
 
     top = max((p[0] for p in vec.terms if p), default=0) + abs(m) + 1
     for j in range(-top, top + 1):

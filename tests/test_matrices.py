@@ -163,6 +163,60 @@ def test_kernel_element_grid():
                         assert first_nonzero_image(Y, km) is None
 
 
+def _kernel_element_chain(module, k, l, n, p, v, w):
+    """Oracle: the three-sum combination added up vector by vector.
+
+    Returns the combination and the vectors it was summed from.
+    """
+    from voamodes.heisenberg import weight_of, zero_vector
+    from voamodes.matrices import jacobi_sums
+
+    left, right, modes = jacobi_sums(k, l, n, p, int(weight_of(v)),
+                                     max(w.levels(), default=0))
+    pieces = []
+    acc = zero_vector(w.charge)
+    for i, c in left:
+        pieces.append(left_entry(v, w, k, i, l + p))
+        acc = acc + pieces[-1].scale(c)
+    for q, c in right:
+        pieces.append(right_entry(w, v, k, q, l + p))
+        acc = acc - pieces[-1].scale(c)
+    for i, c in modes:
+        pieces.append(module.mode(v, i, w))
+        acc = acc - pieces[-1].scale(c)
+    return acc, pieces
+
+
+def test_kernel_element_matches_vector_chain():
+    # one accumulator per combination against the vector-by-vector sum,
+    # over every bimodule pair of the suites and p in [-2, 2]
+    from voamodes.suites import BIMODULE_PAIRS
+
+    vs = FockModule(0, level_cap=2).omega0_basis(2)
+    zero = nonzero = 0
+    for lam1, _ in BIMODULE_PAIRS:
+        W1 = FockModule(lam1, level_cap=14)
+        for v, w in itertools.product(vs, W1.omega0_basis(1)):
+            for k, l, n in itertools.product(range(3), repeat=3):
+                for p in range(-2, 3):
+                    if l + p < 0:
+                        continue
+                    km = jacobi_kernel_element(W1, k, l, n, p, v, w)
+                    want, pieces = _kernel_element_chain(W1, k, l, n, p, v, w)
+                    if want.is_zero():
+                        zero += 1
+                        assert km == IndexedMatrix.zero(lam1)
+                        assert km.is_zero()
+                    else:
+                        nonzero += 1
+                        assert km == IndexedMatrix.single(want, k, l + p)
+                        # the sum owns its terms: no cached entry's dict
+                        _assert_canonical(km.entry(k, l + p),
+                                          [x.terms for x in pieces])
+    # both outcomes occur, cancellation to the zero matrix included
+    assert zero > 0 and nonzero > 0
+
+
 def test_kernel_element_precondition():
     from voamodes.errors import NonHomogeneous
 
