@@ -2,9 +2,12 @@
 
 A map table is the finite data of a module map out of the tensor
 product: its values on generators [w1]_{kl} (x) w2 with w2 of level l.
-`MapTable.from_intertwiner` fills a table from an intertwiner by
-evaluating theta; the inverse direction reads the table entries as the
-modes of a reconstructed operator and assembles its series.
+`MapTable.from_intertwiner` backs a table with an intertwiner, whose
+theta gives each generator's value the first time the table is read
+there; the certifiers read a small part of the grid, and a reader of the
+whole grid (`entries`) completes it first.  The inverse direction reads
+the table entries as the modes of a reconstructed operator and
+assembles its series.
 Certification checks the residue-level Jacobi identity and the
 L(-1)-derivative property of the reconstruction directly on the table,
 and the round trip lands back on the table entry by entry.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutOfTable
+from .errors import OutOfTable, TruncationOverflow
 from .fock import FockIntertwiner, FockModule
 from .heisenberg import (
     FockVector,
@@ -39,7 +42,14 @@ class MapTable:
     """Values of a module map on the generator grid.
 
     entries[(k, l, nu, mu)] is the image of [a(-nu)|q1>]_{kl} (x) a(-mu)|q2>
-    (mu a partition of l), a vector of level k in the target module.
+    (mu a partition of l), a vector of level k in the target module; the
+    zero images are absent.
+
+    A table built by `from_intertwiner` fills on first read: `value`
+    evaluates a generator the first time it needs it and keeps the
+    result, a zero included, so no generator is evaluated twice.  The
+    readers of the whole grid (`entries`, `sorted_keys`, `scale`,
+    `is_zero`, repr) complete it first, so they see every entry.
     """
 
     def __init__(self, lam1, lam2, kmax: int, w1_levels: int, entries: dict,
@@ -50,7 +60,10 @@ class MapTable:
         self.kmax = int(kmax)
         self.w1_levels = int(w1_levels)
         self.level_cap = int(level_cap)
-        self.entries = dict(entries)
+        self._entries = dict(entries)
+        # the intertwiner behind the generators not read yet, and their keys
+        self._Y = None
+        self._pending: set = set()
         self.source = FockModule(self.lam1, level_cap)
         self.right_input = FockModule(self.lam2, level_cap)
         self.target = FockModule(self.lam3, level_cap)
@@ -60,18 +73,45 @@ class MapTable:
     @classmethod
     def from_intertwiner(cls, Y: FockIntertwiner, kmax: int,
                          w1_levels: int) -> "MapTable":
-        entries = {}
-        for k in range(kmax + 1):
-            for l in range(kmax + 1):
-                for a in range(w1_levels + 1):
-                    for nu in partitions_of(a):
-                        w1 = FockVector.basis(Y.lam1, nu)
-                        for mu in partitions_of(l):
-                            w2 = FockVector.basis(Y.lam2, mu)
-                            val = Y.theta(k, l, w1, w2)
-                            if not val.is_zero():
-                                entries[(k, l, nu, mu)] = val
-        return cls(Y.lam1, Y.lam2, kmax, w1_levels, entries, Y.level_cap)
+        """The table of Y.theta on the generator grid, filled on first read.
+
+        The grid holds k, l <= kmax and first-slot levels <= w1_levels.
+        Its target levels must lie within Y's cap, which is checked here,
+        so reading the table cannot overflow later.
+        """
+        if kmax > Y.level_cap:
+            raise TruncationOverflow(f"target level {kmax} above cap {Y.level_cap}")
+        table = cls(Y.lam1, Y.lam2, kmax, w1_levels, {}, Y.level_cap)
+        table._Y = Y
+        nus = [nu for a in range(w1_levels + 1) for nu in partitions_of(a)]
+        table._pending = {(k, l, nu, mu) for k in range(kmax + 1)
+                          for l in range(kmax + 1) for mu in partitions_of(l)
+                          for nu in nus}
+        return table
+
+    def _fill(self, key):
+        """Evaluate one pending generator and keep it; None when it is zero."""
+        k, l, nu, mu = key
+        val = self._Y.theta(k, l, FockVector.basis(self.lam1, nu),
+                            FockVector.basis(self.lam2, mu))
+        # stored before it leaves the pending set, so a reader on another
+        # thread that no longer finds the key pending finds its value
+        if val.is_zero():
+            val = None
+        else:
+            self._entries[key] = val
+        self._pending.discard(key)
+        return val
+
+    @property
+    def entries(self) -> dict:
+        """Every nonzero generator value, keyed by (k, l, nu, mu)."""
+        if self._pending:
+            # a snapshot: other threads may fill keys meanwhile
+            for key in list(self._pending):
+                if key in self._pending:
+                    self._fill(key)
+        return self._entries
 
     def scale(self, s) -> "MapTable":
         s = rat(s)
@@ -84,12 +124,24 @@ class MapTable:
                         self.level_cap)
 
     def perturbed(self, key, delta: FockVector) -> "MapTable":
-        """A copy with one entry shifted; for sensitivity tests."""
-        out = dict(self.entries)
+        """A copy with one entry shifted; for sensitivity tests.
+
+        The copy fills on first read from the same intertwiner, into its
+        own entries, and leaves this table as it is.
+        """
+        if key in self._pending:
+            self._fill(key)
+        # pending keys first: a key another thread fills in between is then
+        # pending in the copy, never absent from both
+        pending = set(self._pending)
+        out = dict(self._entries)
         cur = out.get(key, zero_vector(self.lam3))
         out[key] = cur + delta
-        return MapTable(self.lam1, self.lam2, self.kmax, self.w1_levels, out,
+        copy = MapTable(self.lam1, self.lam2, self.kmax, self.w1_levels, out,
                         self.level_cap)
+        copy._Y = self._Y
+        copy._pending = pending
+        return copy
 
     # -- lookup ---------------------------------------------------------------
 
@@ -107,12 +159,18 @@ class MapTable:
         w2_l = [(mu, c2) for mu, c2 in w2.terms.items() if sum(mu) == l]
         out: dict = {}
         if w2_l:
+            entries, pending = self._entries, self._pending
             for nu, c1 in w1.terms.items():
                 if sum(nu) > self.w1_levels:
                     raise OutOfTable(
                         f"first-slot level {sum(nu)} beyond stored bound {self.w1_levels}")
                 for mu, c2 in w2_l:
-                    vec = self.entries.get((k, l, nu, mu))
+                    key = (k, l, nu, mu)
+                    vec = entries.get(key)
+                    if vec is None:
+                        # not pending any more: zero, or filled on another
+                        # thread since the first look
+                        vec = self._fill(key) if key in pending else entries.get(key)
                     if vec is not None:
                         _add_into(out, vec.terms, c1 * c2)
         return _trusted_vector(self.lam3, out)

@@ -34,6 +34,9 @@ from .heisenberg import (
     _acc,
     _add_into,
     _canon,
+    _NumeratorSum,
+    _numerators,
+    _sugawara_core,
     _trusted_vector,
     expand_key,
     expand_pair,
@@ -349,19 +352,34 @@ def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,
     Returns {integer exponent: nonzero vector}.
 
     The modes of Y_W(v, z) w come from `mode_series`; the exponential of
-    L(-1) is applied with the Sugawara operator.
+    L(-1) is applied with the Sugawara core on integer numerators: at
+    charge P/Qd the core gives Qd L(-1), so step a of each chain
+    multiplies its denominator by Qd a.  Each exponent sums its chain
+    elements over one common denominator and divides once per term.
     """
     if not (same_charge(w.charge, module.lam) and same_charge(v.charge, ALGEBRA_CHARGE)):
         raise ValueError("right vertex operator takes (module, algebra) vectors")
     _check_result_level(v, w, hi, module.level_cap, "window")
-    out: dict = {}
+    p_num, q_den = module.lam.numerator, module.lam.denominator
+    sums: dict = {}
     series = mode_series(v.terms, ALGEBRA_CHARGE, w.terms, module.lam, hi)
-    for t, terms in sorted(series.items()):
-        cur = _trusted_vector(module.lam, terms).scale(-1 if t % 2 else 1)
+    for t, terms in series.items():
+        den, nums = _numerators(terms)
+        if t % 2:
+            nums = {p: -c for p, c in nums.items()}
         a = 0
-        while t + a <= hi and not cur.is_zero():
+        while t + a <= hi and nums:
             if t + a >= lo:
-                _add_into(out.setdefault(t + a, {}), cur.terms)
+                acc = sums.get(t + a)
+                if acc is None:
+                    acc = sums[t + a] = _NumeratorSum()
+                acc.add(den, nums)
             a += 1
-            cur = sugawara_l(-1, cur).scale(Q(1, a))
-    return {s: _trusted_vector(module.lam, terms) for s, terms in out.items() if terms}
+            nums = _sugawara_core(-1, nums, p_num, q_den)
+            den *= q_den * a
+    out: dict = {}
+    for s, acc in sums.items():
+        terms = acc.canonical()
+        if terms:
+            out[s] = _trusted_vector(module.lam, terms)
+    return out

@@ -56,14 +56,19 @@ The algebra of the conformal vector w = (1/2)a(-1)^2 |0> acts through
 the same engine; the Sugawara forms of L(m) and L(0) are provided
 directly as fast paths, independent of the engine, and the test suite
 checks them against the engine and against the dense sum over all
-mode pairs.
+mode pairs.  L(m) has one core, `_sugawara_core`, on integer
+numerators: at charge P/Qd it gives S L(m) with S = Qd for odd m and
+S = 2 Qd^2 for even m.  `sugawara_l` puts a vector over one common
+denominator and divides once per output term; the operator chains of
+the right-operator oracle call the core directly and divide once per
+sum (`_NumeratorSum`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import NonHomogeneous, TruncationOverflow
 from .series import rat, rat_str
@@ -375,6 +380,60 @@ def _quotient(num: int, den: int):
     return Fraction(num, den) if r else q
 
 
+def _numerators(terms: dict) -> tuple:
+    """(den, {p: int}) with terms = nums / den over the least common denominator.
+
+    All-integer terms come back as they are, shared, with den = 1.
+    """
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return 1, terms
+    return den, {p: c * den if type(c) is int else c.numerator * (den // c.denominator)
+                 for p, c in terms.items()}
+
+
+class _NumeratorSum:
+    """A sum of integer numerator dicts kept over one common denominator.
+
+    `add` widens the denominator to a common multiple when a new one
+    arrives; `canonical` divides once per term.
+    """
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self):
+        self.den = 1
+        self.nums: dict = {}
+
+    def add(self, den: int, nums: dict) -> None:
+        """Add nums / den."""
+        mine = self.den
+        s = 1
+        if den != mine:
+            common = lcm(mine, den)
+            if common != mine:
+                up = common // mine
+                self.nums = {p: c * up for p, c in self.nums.items()}
+                self.den = mine = common
+            s = mine // den
+        acc = self.nums
+        get = acc.get
+        if s == 1:
+            for p, c in nums.items():
+                acc[p] = get(p, 0) + c
+        else:
+            for p, c in nums.items():
+                acc[p] = get(p, 0) + c * s
+
+    def canonical(self) -> dict:
+        """The sum as fresh canonical terms, zeros left out."""
+        den = self.den
+        return {p: _quotient(c, den) for p, c in self.nums.items() if c}
+
+
 def expand_pair(nu: tuple, lam1, mu: tuple, lam2, max_level: int) -> dict:
     """Coefficients {t: terms} of x^(lam1*lam2 + t) in Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
 
@@ -517,34 +576,57 @@ def zero_vector(charge) -> FockVector:
 def sugawara_l(m: int, vec: FockVector) -> FockVector:
     """L(m) = (1/2) sum_j :a(-j)a(j+m):  acting on a Fock vector.
 
-    In normal order L(m) = sum_{a>b, a+b=m} a(b)a(a) + [m even] a(m/2)^2/2,
-    so only the parts a > m/2 present in a term are annihilated; the
-    zero-mode and creator-creator pairs act on every term.  Coefficients
-    stay integral except through the charge and the halved square.
+    Takes vec over one common denominator, applies `_sugawara_core`
+    and divides once per output term.
+    """
+    lam = vec.charge
+    den, nums = _numerators(vec.terms)
+    qd = lam.denominator
+    total = den * (qd if m % 2 else 2 * qd * qd)
+    return _trusted_vector(lam, {p: _quotient(c, total) for p, c in
+                                 _sugawara_core(m, nums, lam.numerator, qd).items()})
+
+
+def _sugawara_core(m: int, nums: dict, p_num: int, q_den: int) -> dict:
+    """Integer numerators of S L(m) on integer numerators, at charge p_num/q_den.
+
+    S = q_den for odd m and 2 q_den^2 for even m, which clears the
+    charge and the halved square.  In normal order
+    L(m) = sum_{a>b, a+b=m} a(b)a(a) + [m even] a(m/2)^2/2, so only the
+    parts a > m/2 present in a term are annihilated; the zero-mode and
+    creator-creator pairs act on every term.  Zero sums are left out.
     """
     out: dict = {}
-    lam = vec.charge
-    half = m // 2 if m % 2 == 0 else None
+    get = out.get
+    even = m % 2 == 0
+    scale = 2 * q_den * q_den if even else q_den
+    # a zero mode a(0) reads the charge: S * lam
+    zero_mode = 2 * p_num * q_den if even else p_num
+    half = m // 2 if even else None
     # both modes creators: a(m-a)a(a) with m/2 < a < 0, as inserted parts
     creations = [(-a, a - m) for a in range(-1, m // 2, -1)]
-    for p, c in vec.terms.items():
+    for p, c in nums.items():
+        cs = c * scale
         for a in set(p):
             if 2 * a <= m:
                 continue
             q = list(p)
             q.remove(a)
-            ca = c * a * p.count(a)
+            ca = cs * a * p.count(a)
             b = m - a
             if b > 0:
                 mult = q.count(b)
                 if mult:
                     q.remove(b)
-                    _acc(out, tuple(q), ca * b * mult)
+                    key = tuple(q)
+                    out[key] = get(key, 0) + ca * b * mult
             elif b == 0:
-                if lam:
-                    _acc(out, tuple(q), ca * lam)
+                if p_num:
+                    key = tuple(q)
+                    out[key] = get(key, 0) + c * a * p.count(a) * zero_mode
             else:
-                _acc(out, _insert_part(tuple(q), -b), ca)
+                key = _insert_part(tuple(q), -b)
+                out[key] = get(key, 0) + ca
         if half is not None:
             if half > 0:
                 mult = p.count(half)
@@ -552,18 +634,24 @@ def sugawara_l(m: int, vec: FockVector) -> FockVector:
                     q = list(p)
                     q.remove(half)
                     q.remove(half)
-                    _acc(out, tuple(q), c * half * half * (mult * (mult - 1) // 2))
+                    key = tuple(q)
+                    out[key] = get(key, 0) + cs * half * half * (mult * (mult - 1) // 2)
             elif half == 0:
-                if lam:
-                    _acc(out, p, c * lam * lam / 2)
+                if p_num:
+                    # S lam^2 / 2 = p_num^2
+                    out[p] = get(p, 0) + c * p_num * p_num
             else:
-                _acc(out, _insert_part(_insert_part(p, -half), -half), Fraction(c, 2))
-        if m < 0 and lam:
-            # a(m)a(0): the zero mode reads the charge
-            _acc(out, _insert_part(p, -m), c * lam)
+                # S / 2 = q_den^2
+                key = _insert_part(_insert_part(p, -half), -half)
+                out[key] = get(key, 0) + c * q_den * q_den
+        if m < 0 and p_num:
+            # a(m)a(0)
+            key = _insert_part(p, -m)
+            out[key] = get(key, 0) + c * zero_mode
         for d1, d2 in creations:
-            _acc(out, _insert_part(_insert_part(p, d1), d2), c)
-    return _trusted_vector(vec.charge, out)
+            key = _insert_part(_insert_part(p, d1), d2)
+            out[key] = get(key, 0) + cs
+    return {p: c for p, c in out.items() if c}
 
 
 def l_zero(vec: FockVector) -> FockVector:

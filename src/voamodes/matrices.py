@@ -20,7 +20,9 @@ a real check.  On the t-th mode of Y_W(v_h, .) w (h = wt v_h):
                  the direct form by the Vandermonde identity;
     right-op     multiplies e^{x L(-1)} Y_W(v, -x) (built from the modes
                  and the Sugawara operator) by the dressing (1+x)^{L(0)} of
-                 w and the operator binomial (1+x)^{-(L(-1)+L(0))}.
+                 w and the operator binomial (1+x)^{-(L(-1)+L(0))}; its
+                 operator chains run on integer numerators over one
+                 denominator, divided once per term of the sum.
 
 Residue entries accumulate in plain {partition: coefficient} dicts and
 wrap each result in exactly one FockVector, built through the trusted
@@ -45,10 +47,11 @@ from .fock import FockIntertwiner, FockModule, mode_series, right_vertex_op
 from .heisenberg import (
     ALGEBRA_CHARGE,
     FockVector,
-    _acc,
     _add_into,
     _canon,
-    _scale_terms,
+    _NumeratorSum,
+    _numerators,
+    _sugawara_core,
     _trusted_vector,
     conformal_vector,
     expand_pair,
@@ -268,15 +271,14 @@ def right_entry_right_op(w: FockVector, v: FockVector, k: int, n: int,
 def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     """{s: terms} of (1+x)^{-(L(-1)+L(0))} Y_{WV}((1+x)^{L(0)} w, x) v up to x^t_hi.
 
-    Built from the right vertex operator and the Sugawara operators
-    alone, sharing no series code with the other two forms.  Each step
-    of the operator binomial is one pass: the fresh terms of one
-    `sugawara_l(-1)` call take the L(0) + d - 1 part, a scalar per
-    partition, in place, and are scaled once by -1/d.  Shared by
-    every entry with k + l = t_hi; must not be mutated.  Callers sweep n
-    inside (w, v, k), so a few entries keep every reuse: 16 hit as often
-    as 64 in `three-forms` at N=1 and N=2 (120 and 528 hits), with less
-    memory held.
+    Built from the right vertex operator and the Sugawara core alone,
+    sharing no series code with the other two forms.  Each chain of the
+    operator binomial runs on integer numerators over one denominator,
+    and each exponent sums its chain elements over a common denominator
+    and divides once per term.  Shared by every entry with k + l = t_hi;
+    must not be mutated.  Callers sweep n inside (w, v, k), so a few
+    entries keep every reuse: 16 hit as often as 64 in `three-forms` at
+    N=1 and N=2 (120 and 528 hits), with less memory held.
     """
     charge = w.charge
     scratch = FockModule(charge, level_cap=10 ** 9)
@@ -293,21 +295,31 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
                 _add_into(assembled.setdefault(e + d, {}), vec.terms,
                           gen_binomial(hw, d))
     # (1+x)^{-(L(-1)+L(0))} through the operator binomial: step d takes
-    # cur to -(L(-1) + L(0) + d - 1) cur / d
-    h = scratch.h
-    final: dict = {}
-    for s, cur in sorted(assembled.items()):
+    # cur to -(L(-1) + L(0) + d - 1) cur / d.  At charge P/Qd, with
+    # S = 2 Qd^2, S (L(-1) + L(0) + d - 1) is 2 Qd (Qd L(-1)) plus the
+    # scalar P^2 + S (level + d - 1) per partition, and the chain's
+    # denominator takes the factor S d.
+    p_num, q_den = charge.numerator, charge.denominator
+    big_s = 2 * q_den * q_den
+    p_sq = p_num * p_num
+    sums: dict = {}
+    for s, terms in assembled.items():
+        den, nums = _numerators(terms)
         d = 0
-        while s + d <= t_hi and cur:
-            _add_into(final.setdefault(s + d, {}), cur)
+        while s + d <= t_hi and nums:
+            acc = sums.get(s + d)
+            if acc is None:
+                acc = sums[s + d] = _NumeratorSum()
+            acc.add(den, nums)
             d += 1
-            step = sugawara_l(-1, _trusted_vector(charge, cur)).terms
-            for p, c in cur.items():
-                m = h + sum(p) + d - 1
-                if m:  # _acc would store a zero for an absent key
-                    _acc(step, p, c * m)
-            cur = _scale_terms(step, Q(-1, d))
-    return final
+            step = {p: -2 * q_den * c
+                    for p, c in _sugawara_core(-1, nums, p_num, q_den).items()}
+            get = step.get
+            for p, c in nums.items():
+                step[p] = get(p, 0) - c * (p_sq + big_s * (sum(p) + d - 1))
+            nums = {p: c for p, c in step.items() if c}
+            den *= big_s * d
+    return {s: terms for s, acc in sums.items() if (terms := acc.canonical())}
 
 
 @lru_cache(maxsize=1 << 18)
@@ -366,8 +378,9 @@ def diamond_wv(a: IndexedMatrix, b: IndexedMatrix,
 # kernel elements from the Jacobi identity
 
 
+@lru_cache(maxsize=1 << 14)
 def jacobi_sums(k: int, l: int, n: int, p: int, hv: int, lev: int):
-    """The three (index, coefficient) lists of the residue-form Jacobi identity.
+    """The three (index, coefficient) tuples of the residue-form Jacobi identity.
 
     For v of weight hv and w of top level lev, the identity at (k, l, n, p)
     pairs the lists with
@@ -376,7 +389,8 @@ def jacobi_sums(k: int, l: int, n: int, p: int, hv: int, lev: int):
       sum C(hv + n - k - 1, j) [(Y)_i(v) w]_{k,l+p}      (i = p+j)
     Matrix indices run over the naturals only, and the last sum stops at
     j = lev + hv - 1 - p, past which the mode (Y)_{p+j}(v) w vanishes.
-    Zero coefficients are left out.
+    Zero coefficients are left out.  The result is cached and shared, so
+    it is made of tuples.
     """
     def signed(m, c):
         # (-1) ** m is a float for m < 0; the parity gives the exact sign
@@ -387,7 +401,7 @@ def jacobi_sums(k: int, l: int, n: int, p: int, hv: int, lev: int):
              for j in range(l - n + k + p + 1)]
     modes = [(p + j, gen_binomial(hv + n - k - 1, j))
              for j in range(max(0, lev + hv - 1 - p) + 1)]
-    return tuple([(i, c) for i, c in sums if c != 0]
+    return tuple(tuple((i, c) for i, c in sums if c != 0)
                  for sums in (left, right, modes))
 
 

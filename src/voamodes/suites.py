@@ -103,6 +103,11 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ConfigError(f"unknown suites: {', '.join(unknown)}")
+        repeated = list(dict.fromkeys(
+            s for s in self.suites if self.suites.count(s) > 1))
+        if repeated:
+            # each would run again and add a second row to the report
+            raise ConfigError(f"duplicate suites: {', '.join(repeated)}")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
         return self

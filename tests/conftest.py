@@ -16,6 +16,7 @@ def _clear_caches():
     matrices._conjugated_series.cache_clear()
     matrices._right_op_series.cache_clear()
     matrices._residue_weights.cache_clear()
+    matrices.jacobi_sums.cache_clear()
 
 
 @pytest.fixture

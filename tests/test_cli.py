@@ -96,6 +96,29 @@ def test_config_file_empty_suites(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_duplicate_suites_flag(tmp_path, capsys):
+    # a repeated suite would run twice and double-count cases_run
+    out = tmp_path / "r.json"
+    assert main(["verify", "--N", "0", "--suite", "binomial-218",
+                 "--suite", "binomial-218", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: duplicate suites: binomial-218"]
+    assert not out.exists()
+
+
+def test_duplicate_suites_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "dup.cfg"
+    cfgfile.write_text("N = 0\nsuites = exp-L, binomial-218, exp-L, binomial-218\n")
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfgfile), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: duplicate suites: exp-L, binomial-218"]
+    assert not out.exists()
+
+
 def test_truncation_exit_code(capsys):
     # the certification grid at N=2 needs index 6, beyond L_max=4
     code = main(["verify", "--lmax", "4", "--suite", "jacobi-cert"])
@@ -268,6 +291,15 @@ def test_workers_flag_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_workers_share_the_cert_table(tmp_path):
+    # jacobi-cert and L1-cert read one lazily filled table from two threads
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    suites = ["--suite", "jacobi-cert", "--suite", "L1-cert", "--suite", "three-forms"]
+    assert main(["verify", "--N", "1", *suites, "--workers", "2", "--json", str(a)]) == 0
+    assert main(["verify", "--N", "1", *suites, "--workers", "1", "--json", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(n=3, l_max=2).validate()
@@ -275,6 +307,8 @@ def test_runconfig_validation():
         RunConfig(p_window=(2, -2)).validate()
     with pytest.raises(ConfigError):
         RunConfig(suites=("nope",)).validate()
+    with pytest.raises(ConfigError, match="duplicate suites: unit"):
+        RunConfig(suites=("unit", "kernel", "unit")).validate()
     assert RunConfig().validate().n == 2
 
 

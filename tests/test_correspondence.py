@@ -14,11 +14,12 @@ from voamodes.correspondence import (
     roundtrip,
     yf_series,
 )
-from voamodes.errors import OutOfTable
+from voamodes.errors import OutOfTable, TruncationOverflow
 from voamodes.fock import FockIntertwiner, FockModule, right_vertex_op
 from voamodes.heisenberg import (
     FockVector,
     conformal_vector,
+    partitions_of,
     vacuum,
     weight_of,
 )
@@ -82,6 +83,173 @@ def test_table_value_is_theta(table, Y):
     assert table.value(2, 0, hw1, hw2).levels() in ([], [2])
     zero = table.zeros_like()
     assert zero.value(1, 1, hw1, Y.right_input.basis(1)[0]).is_zero()
+
+
+def eager_entries(Y, kmax, w1_levels):
+    """Every nonzero Y.theta on the generator grid, evaluated up front."""
+    entries = {}
+    for k in range(kmax + 1):
+        for l in range(kmax + 1):
+            for a in range(w1_levels + 1):
+                for nu in partitions_of(a):
+                    w1 = FockVector.basis(Y.lam1, nu)
+                    for mu in partitions_of(l):
+                        w2 = FockVector.basis(Y.lam2, mu)
+                        val = Y.theta(k, l, w1, w2)
+                        if not val.is_zero():
+                            entries[(k, l, nu, mu)] = val
+    return entries
+
+
+def _counted(Y):
+    """Y with its theta calls recorded as (k, l, nu, mu) keys."""
+    calls = []
+    theta = Y.theta
+
+    def counting(k, l, w1, w2):
+        (nu,), (mu,) = w1.terms, w2.terms
+        calls.append((k, l, nu, mu))
+        return theta(k, l, w1, w2)
+
+    Y.theta = counting
+    return calls
+
+
+def test_table_fills_on_first_read():
+    Y = FockIntertwiner(0, Q(1, 2), level_cap=8)
+    calls = _counted(Y)
+    table = MapTable.from_intertwiner(Y, 3, 4)
+    assert calls == []
+    hw1, hw2 = Y.source.highest(), Y.right_input.highest()
+    assert table.value(0, 0, hw1, hw2) == Y.target.highest()
+    assert calls == [(0, 0, (), ())]
+    table.value(0, 0, hw1, hw2)
+    assert len(calls) == 1
+    # bilinear reads evaluate each generator they meet once
+    w1 = hw1.scale(Q(2, 3)) + FockVector.basis(Y.lam1, (2, 1))
+    w2 = FockVector.basis(Y.lam2, (2,)) - FockVector.basis(Y.lam2, (1, 1))
+    table.value(2, 2, w1, w2)
+    table.value(2, 2, w1, w2)
+    assert sorted(calls[1:]) == sorted(
+        (2, 2, nu, mu) for nu in ((), (2, 1)) for mu in ((2,), (1, 1)))
+    # a generator whose value is zero is remembered too
+    a1 = FockVector.basis(Y.lam2, (1,))
+    assert table.value(0, 1, hw1, a1).is_zero()
+    assert table.value(0, 1, hw1.scale(3), a1).is_zero()
+    assert calls[5:] == [(0, 1, (), (1,))]
+    # off-level w2 parts and the zero table read nothing
+    table.value(3, 1, hw1, hw2)
+    table.zeros_like().value(2, 0, hw1, hw2)
+    assert len(calls) == 6
+
+
+def test_values_before_completion_are_theta():
+    # the only guard on the read path: a table that read zero on a miss
+    # would still pass both certificates, as the zero table does
+    Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=8)
+    table = MapTable.from_intertwiner(Y, 4, 5)
+    grid = [(k, l, nu, mu) for k in range(5) for l in range(5)
+            for a in range(6) for nu in partitions_of(a) for mu in partitions_of(l)]
+    picked = grid[::7]
+    assert {k for k, _, _, _ in picked} == set(range(5))
+    assert {l for _, l, _, _ in picked} == set(range(5))
+    assert {sum(nu) for _, _, nu, _ in picked} == set(range(6))
+    nonzero = 0
+    for k, l, nu, mu in picked:
+        w1, w2 = FockVector.basis(Y.lam1, nu), FockVector.basis(Y.lam2, mu)
+        want = Y.theta(k, l, w1, w2)
+        assert table.value(k, l, w1, w2) == want, (k, l, nu, mu)
+        nonzero += not want.is_zero()
+    assert nonzero > len(picked) // 2
+    # still partly read: the reads above did not complete the grid
+    assert len(table._pending) == len(grid) - len(picked)
+
+
+@pytest.mark.parametrize("lam1, lam2", [(Q(1, 2), Q(1, 2)), (Q(-1, 2), Q(1)), (0, Q(1, 2))])
+def test_completed_table_is_the_eager_grid(lam1, lam2):
+    Y = FockIntertwiner(lam1, lam2, level_cap=8)
+    eager = eager_entries(Y, 3, 4)
+    fresh = MapTable.from_intertwiner(Y, 3, 4)
+    assert repr(fresh) == f"MapTable({fresh.lam1},{fresh.lam2}; kmax=3, {len(eager)} entries)"
+    assert fresh.entries == eager
+    partly = MapTable.from_intertwiner(Y, 3, 4)
+    hw1 = Y.source.highest()
+    for w2 in Y.right_input.basis(2):
+        partly.value(1, 2, hw1, w2)
+    assert partly.sorted_keys() == sorted(eager)
+    assert partly.entries == eager
+    scaled = MapTable.from_intertwiner(Y, 3, 4).scale(Q(-2, 5))
+    assert scaled.entries == {key: vec.scale(Q(-2, 5)) for key, vec in eager.items()}
+    assert not MapTable.from_intertwiner(Y, 3, 4).is_zero()
+
+
+def test_perturbed_leaves_a_partly_read_table_alone():
+    Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=8)
+    table = MapTable.from_intertwiner(Y, 3, 4)
+    vs = [ONE, A1, OM]
+    w1s = table.source.omega0_basis(1)
+    hw1, hw2 = Y.source.highest(), Y.right_input.highest()
+    table.value(1, 1, hw1, Y.right_input.basis(1)[0])
+    read = dict(table._entries)
+    pending = set(table._pending)
+    bad = table.perturbed((0, 0, (), ()), table.target.highest())
+    assert bad.value(0, 0, hw1, hw2) == Y.target.highest().scale(2)
+    assert not certify_jacobi(bad, vs, w1s, kmax=1, p_lo=-1, p_hi=1).ok
+    bad.entries  # completes the copy only
+    assert table._entries == {**read, (0, 0, (), ()): Y.target.highest()}
+    assert table._pending == pending - {(0, 0, (), ())}
+    assert table.value(0, 0, hw1, hw2) == Y.target.highest()
+    assert certify_jacobi(table, vs, w1s, kmax=1, p_lo=-1, p_hi=1).ok
+    assert table.entries == eager_entries(Y, 3, 4)
+
+
+def test_concurrent_reads_fill_the_table_once_each_value_right():
+    # more threads than cores, switching often: a reader that took a key
+    # being filled on another thread for zero would break the equalities
+    import random
+    import sys
+    import threading
+
+    Y = FockIntertwiner(Q(1, 2), Q(-1), level_cap=8)
+    eager = eager_entries(Y, 3, 3)
+    table = MapTable.from_intertwiner(Y, 3, 3)
+    keys = sorted(eager)
+    wrong = []
+
+    def read(seed):
+        # threads on one order meet on every key
+        order = random.Random(seed).sample(keys, len(keys))
+        for k, l, nu, mu in order:
+            got = table.value(k, l, FockVector.basis(Y.lam1, nu),
+                              FockVector.basis(Y.lam2, mu))
+            if got != eager[(k, l, nu, mu)]:
+                wrong.append((k, l, nu, mu))
+
+    def complete():
+        if table.entries != eager:
+            wrong.append("entries")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(6)]
+        threads.append(threading.Thread(target=complete))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert table.entries == eager and not table._pending
+
+
+def test_from_intertwiner_checks_the_cap():
+    Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=4)
+    with pytest.raises(TruncationOverflow):
+        MapTable.from_intertwiner(Y, 5, 2)
+    assert not MapTable.from_intertwiner(Y, 4, 2).is_zero()
 
 
 def test_yf_series_matches_operator(table, Y):

@@ -8,7 +8,9 @@ from voamodes.fock import FockIntertwiner, FockModule
 from voamodes.heisenberg import (
     FockVector,
     conformal_vector,
+    l_zero,
     partitions_of,
+    sugawara_l,
     vacuum,
 )
 from voamodes.matrices import (
@@ -585,3 +587,97 @@ def test_right_entries_independent_of_cache_state_and_order(clear_caches):
     assert ascending == descending
     for (i, j, k, n, l, form), vec in ascending.items():
         assert vec == ascending[(i, j, k, n, l, "conjugated")], (i, j, k, n, l, form)
+
+
+# ---------------------------------------------------------------------------
+# the right-operator form against its Fraction-arithmetic loops
+
+
+def fraction_right_vertex_op(module, w, v, lo, hi):
+    """e^{xL(-1)} Y_W(v, -x) w over [lo, hi], one FockVector per chain step."""
+    from voamodes.fock import mode_series
+
+    out = {}
+    for t, terms in sorted(mode_series(v.terms, Q(0), w.terms, module.lam, hi).items()):
+        cur = FockVector(module.lam, terms).scale(-1 if t % 2 else 1)
+        a = 0
+        while t + a <= hi and not cur.is_zero():
+            if t + a >= lo:
+                out[t + a] = out[t + a] + cur if t + a in out else cur
+            a += 1
+            cur = sugawara_l(-1, cur).scale(Q(1, a))
+    return {s: vec for s, vec in out.items() if not vec.is_zero()}
+
+
+def fraction_right_op_series(w, v, t_hi):
+    """(1+x)^{-(L(-1)+L(0))} Y_{WV}((1+x)^{L(0)} w, x) v up to x^t_hi, in FockVectors."""
+    scratch = FockModule(w.charge, level_cap=10 ** 9)
+    lowest = -(max(w.levels(), default=0) + max(v.levels(), default=0) + 1)
+    assembled = {}
+    for lev in w.levels():
+        ser = fraction_right_vertex_op(scratch, w.level_component(lev), v, lowest, t_hi)
+        for e, vec in ser.items():
+            for d in range(t_hi - e + 1):
+                piece = vec.scale(gen_binomial(scratch.h + lev, d))
+                assembled[e + d] = assembled[e + d] + piece if e + d in assembled else piece
+    final = {}
+    for s, cur in sorted(assembled.items()):
+        d = 0
+        while s + d <= t_hi and not cur.is_zero():
+            final[s + d] = final[s + d] + cur if s + d in final else cur
+            d += 1
+            cur = (sugawara_l(-1, cur) + l_zero(cur) + cur.scale(d - 1)).scale(Q(-1, d))
+    return {s: vec for s, vec in final.items() if not vec.is_zero()}
+
+
+ORACLE_CHARGES = (Q(1, 2), Q(-1, 2), Q(1), Q(-1), Q(3, 2), Q(1, 3))
+
+
+def _oracle_inputs(charge):
+    M = FockModule(charge, level_cap=20)
+    ws = [M.highest(), M.basis(1)[0], M.basis(2)[0],
+          M.highest().scale(Q(2, 3)) - M.basis(1)[0].scale(Q(5, 2))
+          + M.basis(3)[1].scale(Q(1, 7))]
+    vs = [ONE, A1, OM, FockVector.basis(0, (3,)), FockVector.basis(0, (2, 1)),
+          ONE.scale(Q(1, 2)) + A1 - OM.scale(3) + FockVector.basis(0, (3,)).scale(Q(-1, 3))]
+    return M, ws, vs
+
+
+# a coefficient does not depend on the top of the window, so one oracle
+# series up to x^3 checks every window below it
+
+
+@pytest.mark.parametrize("charge", ORACLE_CHARGES, ids=str)
+def test_right_vertex_op_matches_fraction_loop(charge):
+    from voamodes.fock import right_vertex_op
+
+    M, ws, vs = _oracle_inputs(charge)
+    for w in ws:
+        for v in vs:
+            lowest = -(max(w.levels()) + max(v.levels()) + 1)
+            want = fraction_right_vertex_op(M, w, v, lowest, 3)
+            for hi in range(4):
+                for lo in (lowest, 0):
+                    got = right_vertex_op(M, w, v, lo, hi)
+                    assert got == {s: vec for s, vec in want.items() if lo <= s <= hi}, \
+                        (w, v, lo, hi)
+                    for vec in got.values():
+                        _assert_canonical(vec)
+
+
+@pytest.mark.parametrize("charge", ORACLE_CHARGES, ids=str)
+def test_right_op_series_matches_fraction_loop(charge):
+    from voamodes.heisenberg import _trusted_vector
+    from voamodes.matrices import _right_op_series
+
+    M, ws, vs = _oracle_inputs(charge)
+    for w in ws:
+        for v in vs:
+            want = fraction_right_op_series(w, v, 3)
+            for t_hi in range(4):
+                # copies: the cached terms stay unwrapped
+                got = {s: _trusted_vector(M.lam, dict(terms))
+                       for s, terms in _right_op_series(w, v, t_hi).items()}
+                assert got == {s: vec for s, vec in want.items() if s <= t_hi}, (w, v, t_hi)
+                for vec in got.values():
+                    _assert_canonical(vec)
