@@ -273,6 +273,13 @@ def jacobi_points(f: MapTable, v_list, w1_list, kmax: int, p_lo: int, p_hi: int)
     with q_j = l-n+k+p-j and all sums index-guarded.  `detail()` renders
     the point.  The points are computed as they are consumed, so a reader
     looking for one failure stops at it.
+
+    Each image in these sums depends on its own indices, not on the loops
+    around it, so it is evaluated once per call: theta2(q, L, v, w2) per v,
+    keyed on (q, L, partition of w2); (Y)_i(v) w1 per (v, w1), keyed on i;
+    and each summand's image per (v, w1), keyed on its indices and the
+    partition of w2.  Small integers and partitions hash faster than
+    vectors.
     """
     W1, W2, W3 = f.source, f.right_input, f.target
     for v in v_list:
@@ -280,8 +287,12 @@ def jacobi_points(f: MapTable, v_list, w1_list, kmax: int, p_lo: int, p_hi: int)
         if hv.denominator != 1:
             raise ValueError("algebra vectors have integer weight")
         hv = int(hv)
+        theta2: dict = {}
         for w1 in w1_list:
             lev1 = w1.level()
+            # theta2 is shared by every w1; then (Y)_i(v) w1 by i, and the
+            # summand images of the three sums by (k, index, L, mu)
+            memo = (theta2, {}, {}, {}, {})
             for k in range(kmax + 1):
                 for l in range(kmax + 1):
                     for n in range(kmax + 1):
@@ -289,7 +300,7 @@ def jacobi_points(f: MapTable, v_list, w1_list, kmax: int, p_lo: int, p_hi: int)
                             if l + p < 0:
                                 continue
                             for w2 in W2.basis(l + p):
-                                yield _jacobi_point(f, W1, W2, W3, v, hv,
+                                yield _jacobi_point(f, W1, W2, W3, memo, v, hv,
                                                     w1, lev1, w2, k, l, n, p)
 
 
@@ -302,19 +313,36 @@ def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
     return report
 
 
-def _jacobi_point(f, W1, W2, W3, v, hv, w1, lev1, w2, k, l, n, p):
+def _jacobi_point(f, W1, W2, W3, memo, v, hv, w1, lev1, w2, k, l, n, p):
+    theta2, shifted, left_images, right_images, mode_images = memo
     L = l + p
+    (mu,) = w2.terms
     left, right, modes = jacobi_sums(k, l, n, p, hv, lev1)
     lhs: dict = {}
     for mid, c in left:
-        _add_into(lhs, W3.theta(k, mid, v, f.value(mid, L, w1, w2)).terms, c)
+        img = left_images.get((k, mid, L, mu))
+        if img is None:
+            img = left_images[(k, mid, L, mu)] = W3.theta(
+                k, mid, v, f.value(mid, L, w1, w2)).terms
+        _add_into(lhs, img, c)
     rhs: dict = {}
     for q, c in right:
-        _add_into(rhs, f.value(k, q, w1, W2.theta(q, L, v, w2)).terms, c)
+        img = right_images.get((k, q, L, mu))
+        if img is None:
+            inner = theta2.get((q, L, mu))
+            if inner is None:
+                inner = theta2[(q, L, mu)] = W2.theta(q, L, v, w2)
+            img = right_images[(k, q, L, mu)] = f.value(k, q, w1, inner).terms
+        _add_into(rhs, img, c)
     for i, c in modes:
-        shifted = W1.mode(v, i, w1)
-        if not shifted.is_zero():
-            _add_into(rhs, f.value(k, L, shifted, w2).terms, c)
+        img = mode_images.get((k, i, L, mu))
+        if img is None:
+            y_i = shifted.get(i)
+            if y_i is None:
+                y_i = shifted[i] = W1.mode(v, i, w1)
+            img = mode_images[(k, i, L, mu)] = (
+                f.value(k, L, y_i, w2).terms if y_i.terms else {})
+        _add_into(rhs, img, c)
     lhs = _trusted_vector(f.lam3, lhs)
     rhs = _trusted_vector(f.lam3, rhs)
     return lhs == rhs, lambda: {

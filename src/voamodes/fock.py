@@ -18,7 +18,11 @@ The algebra V is F(0) as a module over itself: its modes are those of
 FockModule(0), and its vertex operator is the series of
 FockIntertwiner(0, 0).  The contragredient module is realized on the
 same partition basis via the pairing with a(n)* = a(-n) and
-<|q>,|q>> = 1.
+<|q>,|q>> = 1.  There the current acts as a'(n) = -a(n), so
+Y'(v, x) = Y(sigma v, x), where sigma is the automorphism a -> -a of V
+(it multiplies a(-nu)|0> by (-1)^len(nu) and fixes the conformal
+vector; Frenkel-Huang-Lepowsky 1993 for contragredient modules,
+Frenkel-Lepowsky-Meurman 1988 for the automorphism).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .heisenberg import (
     _EXPAND_CACHE,
     ALGEBRA_CHARGE,
     FockVector,
-    _acc,
     _add_into,
     _canon,
     _NumeratorSum,
@@ -43,7 +46,6 @@ from .heisenberg import (
     intern_charge,
     same_charge,
     partitions_of,
-    sugawara_l,
     zero_vector,
 )
 from .series import rat, rat_str
@@ -119,6 +121,12 @@ def fock_norm(partition: tuple) -> int:
     for part, mult in seen.items():
         z *= part ** mult * factorial(mult)
     return z
+
+
+def sigma(v: FockVector) -> FockVector:
+    """The automorphism a -> -a of V: a(-nu)|0> goes to (-1)^len(nu) a(-nu)|0>."""
+    return _trusted_vector(v.charge, {nu: -c if len(nu) % 2 else c
+                                      for nu, c in v.terms.items()})
 
 
 class FockModule:
@@ -201,11 +209,14 @@ class FockModule:
     def dual_mode(self, v: FockVector, n_index, wprime: FockVector) -> FockVector:
         """Mode of the contragredient vertex operator on W' (same basis).
 
-        Defined by <Y'(v,x)w', w> = <w', Y(e^{xL(1)}(-x^-2)^{L(0)} v, x^-1) w>;
-        for homogeneous v of weight h the x^(-n-1) coefficient pairs w'
-        against (-1)^h / j! times the (2h-j-n-2)-th mode of L(1)^j v.
-        The pairing is read off the engine terms: the a(-p) coordinate is
-        the norm-weighted w' against the image of a(-p), over <a(-p), a(-p)>.
+        Defined by <Y'(v,x)w', w> = <w', Y(e^{xL(1)}(-x^-2)^{L(0)} v, x^-1) w>.
+        Under the pairing a(n)* = a(-n) the current's contragredient mode
+        is a'(n) = -a(n), so W' is W twisted by the automorphism a -> -a
+        of V, which fixes the conformal vector: Y'(v, x) = Y(sigma v, x)
+        with sigma(a(-nu)|0>) = (-1)^len(nu) a(-nu)|0>.  The result lands
+        at lev(w') + wt v - n - 1; it, or a level of w', above the cap
+        raises TruncationOverflow, except where the result level is
+        negative and the mode is zero.
         """
         if not same_charge(v.charge, ALGEBRA_CHARGE):
             raise ValueError("contragredient modes take algebra vectors")
@@ -214,57 +225,26 @@ class FockModule:
         n_index = rat(n_index)
         if n_index.denominator != 1:
             return self.zero()
-        n = int(n_index)
-        out: dict = {}
-        for h in v.levels():
-            # (j, h!/j!, L(1)^j v_h): integer weights over the common h!
-            chain = []
-            u = v.level_component(h)
-            for j in range(0, h + 1):
-                if u.is_zero():
-                    break
-                chain.append((j, factorial(h) // factorial(j), u.terms))
-                u = sugawara_l(1, u)
-            den = -factorial(h) if h % 2 else factorial(h)
-            for lev_p in wprime.levels():
-                target = lev_p + h - n - 1
-                if target < 0:
-                    continue
-                # the image of each mode lands at level lev_p
-                if max(target, lev_p) > self.level_cap:
-                    raise TruncationOverflow(
-                        f"contragredient mode level {max(target, lev_p)} exceeds cap")
-                paired = {q: c * fock_norm(q) for q, c in wprime.terms.items()
-                          if sum(q) == lev_p}
-                for p in partitions_of(target):
-                    total = 0
-                    for j, weight, terms in chain:
-                        for nu, cu in terms.items():
-                            image = pair_mode_terms(nu, ALGEBRA_CHARGE, p, self.lam,
-                                                    j + n + 1 - 2 * h)
-                            val = sum(c * image[q] for q, c in paired.items()
-                                      if q in image)
-                            if val:
-                                total += weight * cu * val
-                    if total:
-                        _acc(out, p, Q(total, den * fock_norm(p)))
-        return _trusted_vector(self.lam, out)
+        if v.terms and wprime.terms:
+            # mode() checks the result level only
+            top = max(map(sum, wprime.terms))
+            if top > self.level_cap and top + max(map(sum, v.terms)) - int(n_index) > 0:
+                raise TruncationOverflow(f"contragredient mode level {top} exceeds cap")
+        return self.mode(sigma(v), n_index, wprime)
 
     def theta_dual(self, k: int, l: int, v: FockVector, wprime: FockVector) -> FockVector:
-        """The residue map on the contragredient module."""
+        """The residue map on the contragredient module: theta(k, l, sigma v, w')."""
         if not same_charge(v.charge, ALGEBRA_CHARGE):
             raise ValueError("contragredient modes take algebra vectors")
         if not same_charge(wprime.charge, self.lam):
             raise ValueError("vector does not belong to this module")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
-        wp = wprime.level_component(l)
-        if wp.is_zero():
-            return self.zero()
-        out = self.zero()
-        for h in v.levels():
-            out = out + self.dual_mode(v.level_component(h), h + l - k - 1, wp)
-        return out
+        # theta() checks the target level only
+        if l > self.level_cap and k >= 0 and v.terms and any(
+                sum(mu) == l for mu in wprime.terms):
+            raise TruncationOverflow(f"contragredient mode level {l} exceeds cap")
+        return self.theta(k, l, sigma(v), wprime)
 
     def __repr__(self):
         return f"FockModule(lam={rat_str(self.lam)}, cap={self.level_cap})"

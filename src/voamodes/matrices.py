@@ -26,11 +26,11 @@ a real check.  On the t-th mode of Y_W(v_h, .) w (h = wt v_h):
 
 Residue entries accumulate in plain {partition: coefficient} dicts and
 wrap each result in exactly one FockVector, built through the trusted
-constructor.  The conjugated right-action series
-(1+x)^{-L(0)} Y_W(v, -x) (1+x)^{L(0)} w up to x^{k+l} does not depend
-on the middle index n, so it sits in a bounded cache keyed on
-(w, v, k+l); so does the right-operator series, in a cache of its own.
-The direct form caches nothing, and no form reads another's series.
+constructor.  An entry reads its form's series up to x^{k+l}, which does
+not depend on the middle index n, and the series up to x^t is a prefix
+of the series up to any larger t.  So each form caches its own series
+per (w, v), built to the largest k+l asked for so far, in a bounded
+cache of its own; no form reads another's series.
 
 Matrix entries are exact and uncapped: products routinely pass through
 weights above the module truncation bound on their way to a residue, and
@@ -41,7 +41,8 @@ land (the theta maps, the public mode operations).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
+from threading import Lock
 
 from .fock import FockIntertwiner, FockModule, mode_series, right_vertex_op
 from .heisenberg import (
@@ -195,7 +196,8 @@ def _residue_weights(k: int, n: int, l: int, e: int) -> dict:
 def _residue_against(stuff: dict, charge, k: int, n: int, l: int) -> FockVector:
     """Res_x T_{k+l+1}((x+1)^(-k+n-l-1)) (1+x)^k * sum_s stuff[s] x^s.
 
-    `stuff` maps s to canonical {partition: coeff} terms; it is only read.
+    `stuff` maps s to canonical {partition: coeff} terms; it is only read,
+    at exponents s <= k + l, so any longer series gives the same entry.
     """
     out: dict = {}
     for s, c in _residue_weights(k, n, l, k).items():
@@ -205,14 +207,56 @@ def _residue_against(stuff: dict, charge, k: int, n: int, l: int) -> FockVector:
     return _trusted_vector(charge, out)
 
 
-@lru_cache(maxsize=64)
+class _SeriesCache:
+    """One right-action series per (w, v), read for every window it covers.
+
+    The series up to x^t is a prefix of the series up to any larger t,
+    and a residue entry with k + l = t reads only exponents <= t, so the
+    series built to t_hi serves every request at or below it; a larger
+    request builds anew and replaces it.  At most `maxsize` pairs are
+    kept, the oldest dropped first.  A thread returns the series it built
+    or found and never reads the dict again.  The series are shared and
+    must not be mutated.
+    """
+
+    def __init__(self, build, maxsize: int):
+        update_wrapper(self, build)
+        self._build = build
+        self._maxsize = maxsize
+        self._series: dict = {}
+        self._lock = Lock()
+
+    def __call__(self, w: FockVector, v: FockVector, t_hi: int) -> dict:
+        key = (w, v)
+        got = self._series.get(key)
+        if got is not None and got[0] >= t_hi:
+            return got[1]
+        series = self._build(w, v, t_hi)
+        with self._lock:
+            # popped first, so the pair counts as the newest
+            self._series.pop(key, None)
+            self._series[key] = (t_hi, series)
+            while len(self._series) > self._maxsize:
+                del self._series[next(iter(self._series))]
+        return series
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._series.clear()
+
+
+def _series_cache(maxsize: int):
+    """Decorator: a `_SeriesCache` of its own around a series builder."""
+    return lambda build: _SeriesCache(build, maxsize)
+
+
+@_series_cache(64)
 def _conjugated_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     """{s: terms} of (1+x)^{-L(0)} Y_W(v, -x) (1+x)^{L(0)} w up to x^t_hi.
 
     Per homogeneous pieces the conjugation collapses to the scalar factor
     (1+x)^(-h - t) on the t-th mode of Y_W(v, -x) w (h = wt v): the
-    fractional parts of the two L(0) weights cancel exactly.  The result
-    is shared by every entry with k + l = t_hi and must not be mutated.
+    fractional parts of the two L(0) weights cancel exactly.
     """
     stuff: dict = {}
     for h in v.levels():
@@ -235,13 +279,18 @@ def right_entry_conjugated(w: FockVector, v: FockVector, k: int, n: int,
 
 def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
                        l: int) -> FockVector:
-    """Right action entry via Y_W((1+x)^{-L(0)} v, -x(1+x)^{-1}) w.
+    """Right action entry via Y_W((1+x)^{-L(0)} v, -x(1+x)^{-1}) w."""
+    return _residue_against(_direct_series(w, v, k + l), w.charge, k, n, l)
+
+
+@_series_cache(16)
+def _direct_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
+    """{s: terms} of Y_W((1+x)^{-L(0)} v, -x(1+x)^{-1}) w up to x^t_hi.
 
     Substitutes z = -x(1+x)^{-1} into the mode expansion: the t-th mode
     of v_h gets (1+x)^{-h} z^t = (-1)^t x^t (1+x)^{-h} (1+x)^{-t}, whose
     x^(t+j) coefficient is the product sum_i C(-h,i) C(-t,j-i).
     """
-    t_hi = k + l
     stuff: dict = {}
     for h in v.levels():
         v_h = v.level_component(h)
@@ -255,7 +304,7 @@ def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
                 cj = sum(dress[i] * subst[j - i] for i in range(j + 1))
                 if cj != 0:
                     _add_into(stuff.setdefault(t + j, {}), terms, sign * cj)
-    return _residue_against(stuff, w.charge, k, n, l)
+    return {s: terms for s, terms in stuff.items() if terms}
 
 
 def right_entry_right_op(w: FockVector, v: FockVector, k: int, n: int,
@@ -267,7 +316,7 @@ def right_entry_right_op(w: FockVector, v: FockVector, k: int, n: int,
     return _residue_against(_right_op_series(w, v, k + l), w.charge, k, n, l)
 
 
-@lru_cache(maxsize=16)
+@_series_cache(16)
 def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     """{s: terms} of (1+x)^{-(L(-1)+L(0))} Y_{WV}((1+x)^{L(0)} w, x) v up to x^t_hi.
 
@@ -275,10 +324,7 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     sharing no series code with the other two forms.  Each chain of the
     operator binomial runs on integer numerators over one denominator,
     and each exponent sums its chain elements over a common denominator
-    and divides once per term.  Shared by every entry with k + l = t_hi;
-    must not be mutated.  Callers sweep n inside (w, v, k), so a few
-    entries keep every reuse: 16 hit as often as 64 in `three-forms` at
-    N=1 and N=2 (120 and 528 hits), with less memory held.
+    and divides once per term.
     """
     charge = w.charge
     scratch = FockModule(charge, level_cap=10 ** 9)
@@ -405,6 +451,12 @@ def jacobi_sums(k: int, l: int, n: int, p: int, hv: int, lev: int):
                  for sums in (left, right, modes))
 
 
+@lru_cache(maxsize=1 << 12)
+def _module_mode(lam, cap: int, v: FockVector, i: int, w: FockVector) -> FockVector:
+    """FockModule(lam, cap).mode(v, i, w): a sweep asks for few distinct modes."""
+    return FockModule(lam, cap).mode(v, i, w)
+
+
 def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
                           v: FockVector, w: FockVector) -> IndexedMatrix:
     """The three-sum combination sitting in every evaluation kernel.
@@ -430,7 +482,7 @@ def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
     for q, c in right:
         _add_into(acc, right_entry(w, v, k, q, l + p).terms, -c)
     for i, c in modes:
-        _add_into(acc, module.mode(v, i, w).terms, -c)
+        _add_into(acc, _module_mode(module.lam, module.level_cap, v, i, w).terms, -c)
     if not acc:
         return IndexedMatrix.zero(w.charge)
     return IndexedMatrix.single(_trusted_vector(w.charge, acc), k, l + p)
@@ -454,22 +506,27 @@ def opposite_map(mat: IndexedMatrix, sign: str = "plus") -> IndexedMatrix:
     factor = Q(1) if sign == "plus" else Q(-1)
     out: dict = {}
     for (k, l), vec in mat.entries.items():
-        acc = zero_vector(0)
-        for lev in vec.levels():
-            comp = vec.level_component(lev)
-            comp = comp.scale(Q(-1) if lev % 2 else Q(1))
-            term = comp
-            fact = Q(1)
-            j = 0
-            while not term.is_zero():
-                acc = acc + term.scale(fact)
-                j += 1
-                fact = fact / j
-                term = sugawara_l(1, term)
         key = (l, k)
-        piece = acc.scale(factor)
+        piece = _exp_l1_parity(vec).scale(factor)
         out[key] = out[key] + piece if key in out else piece
     return IndexedMatrix(0, out)
+
+
+@lru_cache(maxsize=1 << 10)
+def _exp_l1_parity(vec: FockVector) -> FockVector:
+    """e^{L(1)} (-1)^{L(0)} vec for an algebra vector."""
+    acc = zero_vector(0)
+    for lev in vec.levels():
+        comp = vec.level_component(lev)
+        term = comp.scale(Q(-1) if lev % 2 else Q(1))
+        fact = Q(1)
+        j = 0
+        while not term.is_zero():
+            acc = acc + term.scale(fact)
+            j += 1
+            fact = fact / j
+            term = sugawara_l(1, term)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,12 @@ class RunConfig:
             raise ConfigError("N must not exceed L_max")
         if not self.charges:
             raise ConfigError("charges must name at least one charge")
+        repeated = list(dict.fromkeys(
+            c for c in self.charges if self.charges.count(c) > 1))
+        if repeated:
+            # equal values (1/2, 2/4, 0.5) would run every case again
+            raise ConfigError(
+                f"duplicate charges: {', '.join(rat_str(c) for c in repeated)}")
         if self.p_window[0] > self.p_window[1]:
             raise ConfigError("empty p window")
         if self.max_v_weight < 1:
@@ -276,30 +282,44 @@ def suite_unit(ctx: RunContext) -> SuiteReport:
 
 
 def suite_bimodule(ctx: RunContext) -> SuiteReport:
-    """Evaluation commutes with the left and right actions."""
+    """Evaluation commutes with the left and right actions.
+
+    The inner images Y.theta(n, l, w1, w2) and W2.theta(n, l, v, w2) do
+    not depend on the loops around them, so each is evaluated once per
+    pair of charges, keyed on indices and the partition of w2.
+    """
     cfg = ctx.cfg
     rep = SuiteReport("bimodule")
     idx = range(cfg.n + 1)
     for lam1, lam2 in BIMODULE_PAIRS:
         Y = ctx.intertwiner(lam1, lam2)
         W1, W2, W3 = Y.source, Y.right_input, Y.target
-        for v in ctx.v_basis:
-            for w1 in W1.omega0_basis(cfg.n):
-                lev1 = w1.level()
+        w1_basis = W1.omega0_basis(cfg.n)
+        y_inner: dict = {}   # (w1 index, n, l, mu) -> Y.theta(n, l, w1, w2)
+        w2_inner: dict = {}  # (v index, n, l, mu) -> W2.theta(n, l, v, w2)
+        for vi, v in enumerate(ctx.v_basis):
+            for wi, w1 in enumerate(w1_basis):
                 for k in idx:
                     for n in idx:
                         for l in idx:
                             for w2 in W2.basis(l):
+                                (mu,) = w2.terms
                                 entry = left_entry(v, w1, k, n, l)
                                 lhs = Y.theta(k, l, entry, w2)
-                                rhs = W3.theta(k, n, v, Y.theta(n, l, w1, w2))
+                                mid = y_inner.get((wi, n, l, mu))
+                                if mid is None:
+                                    mid = y_inner[(wi, n, l, mu)] = Y.theta(n, l, w1, w2)
+                                rhs = W3.theta(k, n, v, mid)
                                 rep.record(lhs == rhs, lambda: _render(
                                     "left action", dict(Y=Y, k=k, n=n, l=l,
                                                         v=v, w1=w1, w2=w2),
                                     lhs, rhs))
                                 entry = right_entry(w1, v, k, n, l)
                                 lhs = Y.theta(k, l, entry, w2)
-                                rhs = Y.theta(k, n, w1, W2.theta(n, l, v, w2))
+                                mid = w2_inner.get((vi, n, l, mu))
+                                if mid is None:
+                                    mid = w2_inner[(vi, n, l, mu)] = W2.theta(n, l, v, w2)
+                                rhs = Y.theta(k, n, w1, mid)
                                 rep.record(lhs == rhs, lambda: _render(
                                     "right action", dict(Y=Y, k=k, n=n, l=l,
                                                          v=v, w1=w1, w2=w2),
@@ -317,9 +337,11 @@ def suite_three_forms(ctx: RunContext) -> SuiteReport:
         M = ctx.module(c)
         for w in M.omega0_basis(min(1, cfg.n)):
             for v in small_v:
-                for k in range(cfg.n + 1):
+                # the largest k + l first: each form builds one series per
+                # (w, v) and reads the smaller windows off it
+                for k in reversed(range(cfg.n + 1)):
                     for n in range(cfg.n + 1):
-                        for l in range(cfg.n + 1):
+                        for l in reversed(range(cfg.n + 1)):
                             cases.append((w, v, k, n, l))
     rng = ctx.rng()
     all_w = [w for c in cfg.charges for w in ctx.module(c).omega0_basis(cfg.n)]

@@ -14,7 +14,10 @@ def _clear_caches():
     matrices._left_entry_cached.cache_clear()
     matrices._right_entry_cached.cache_clear()
     matrices._conjugated_series.cache_clear()
+    matrices._direct_series.cache_clear()
     matrices._right_op_series.cache_clear()
+    matrices._module_mode.cache_clear()
+    matrices._exp_l1_parity.cache_clear()
     matrices._residue_weights.cache_clear()
     matrices.jacobi_sums.cache_clear()
 

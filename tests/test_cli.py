@@ -119,6 +119,42 @@ def test_duplicate_suites_config_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("charges", ["1/2,2/4,0.5", "1/2,1/2"])
+def test_duplicate_charges_flag(tmp_path, capsys, charges):
+    # equal charge values would run every case of that charge again
+    out = tmp_path / "r.json"
+    assert main(["verify", "--N", "0", f"--charges={charges}", "--suite", "unit",
+                 "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: duplicate charges: 1/2"]
+    assert not out.exists()
+
+
+def test_duplicate_charges_tables(capsys):
+    # tables would write every row of the repeated charge twice
+    assert main(["tables", "--target", "bimodule", "--N", "0", "--max-v-weight", "1",
+                 "--charges=1/2,1/2", "--csv", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: duplicate charges: 1/2"]
+
+
+def test_duplicate_charges_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "dup.cfg"
+    cfgfile.write_text("N = 0\ncharges = 0, 1/2, 2/4, 0/3, 1\nsuites = unit\n")
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfgfile), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: duplicate charges: 0, 1/2"]
+    assert not out.exists()
+    # distinct values still run
+    assert main(["verify", "--config", str(cfgfile), "--charges=0,1/2",
+                 "--json", str(out)]) == 0
+    capsys.readouterr()
+
+
 def test_truncation_exit_code(capsys):
     # the certification grid at N=2 needs index 6, beyond L_max=4
     code = main(["verify", "--lmax", "4", "--suite", "jacobi-cert"])
@@ -309,6 +345,8 @@ def test_runconfig_validation():
         RunConfig(suites=("nope",)).validate()
     with pytest.raises(ConfigError, match="duplicate suites: unit"):
         RunConfig(suites=("unit", "kernel", "unit")).validate()
+    with pytest.raises(ConfigError, match="duplicate charges: 1/2, 1$"):
+        RunConfig(charges=(Q(1, 2), Q(1), Q(2, 4), 1)).validate()
     assert RunConfig().validate().n == 2
 
 

@@ -205,6 +205,110 @@ def test_dual_mode_matches_per_partition_oracle(lam):
     check()
 
 
+def pairing_dual_mode(M, v, n_index, wprime):
+    """Contragredient mode read off the engine terms (the pairing loop that
+    computed `dual_mode` before the sigma twist): the a(-p) coordinate pairs
+    the norm-weighted w' with the image of a(-p) under the (2h-j-n-2)-th
+    mode of L(1)^j v_h, weighted (-1)^h / j!, over <a(-p), a(-p)>.  A
+    target level or a w' level above the cap raises, whenever the target
+    is a level."""
+    n = int(n_index)
+    coords = {}
+    for h in v.levels():
+        chain = []
+        u = v.level_component(h)
+        for j in range(0, h + 1):
+            if u.is_zero():
+                break
+            chain.append((j, Q((-1) ** h, factorial(j)), u.terms))
+            u = sugawara_l(1, u)
+        for lev_p in wprime.levels():
+            target = lev_p + h - n - 1
+            if target < 0:
+                continue
+            if max(target, lev_p) > M.level_cap:
+                raise TruncationOverflow(f"level {max(target, lev_p)} exceeds cap")
+            paired = {q: c * fock_norm(q) for q, c in wprime.terms.items()
+                      if sum(q) == lev_p}
+            for p in partitions_of(target):
+                for j, cj, terms in chain:
+                    for nu, cu in terms.items():
+                        image = pair_mode_terms(nu, Q(0), p, M.lam, j + n + 1 - 2 * h)
+                        val = sum(c * image[q] for q, c in paired.items() if q in image)
+                        if val:
+                            coords[p] = coords.get(p, 0) + cj * cu * val / fock_norm(p)
+    return FockVector(M.lam, coords)
+
+
+def pairing_theta_dual(M, k, l, v, wprime):
+    """The contragredient residue map as a sum of `pairing_dual_mode` over
+    the levels of v, each mode landing at level k."""
+    if k > M.level_cap:
+        raise TruncationOverflow(f"target level {k} above cap")
+    wp = wprime.level_component(l)
+    out = M.zero()
+    if wp.is_zero():
+        return out
+    for h in v.levels():
+        out = out + pairing_dual_mode(M, v.level_component(h), h + l - k - 1, wp)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationOverflow:
+        return TruncationOverflow
+
+
+# charges of both signs, integral and not; v of weight <= 3 and w' of
+# level <= 3, basis vectors plus one mixed vector each
+DUAL_GRID_CHARGES = (Q(0), Q(2), Q(1, 3), Q(-1, 2), Q(3, 2))
+
+
+def _dual_grid_inputs(lam, cap):
+    M = FockModule(lam, level_cap=cap)
+    vs = [FockVector.basis(0, p) for lev in range(4) for p in partitions_of(lev)]
+    vs.append(ONE.scale(Q(1, 2)) + A1 - OM.scale(3)
+              + FockVector.basis(0, (2, 1)).scale(Q(-1, 3)))
+    ws = [M.basis(lev)[i] for lev in range(4) for i in range(len(partitions_of(lev)))]
+    ws.append(M.highest().scale(Q(2, 3)) - M.basis(1)[0].scale(Q(5, 2))
+              + M.basis(3)[1].scale(Q(1, 7)))
+    return M, vs, ws
+
+
+@pytest.mark.parametrize("cap", (2, 8))
+@pytest.mark.parametrize("lam", DUAL_GRID_CHARGES, ids=str)
+def test_dual_mode_matches_pairing_oracles_on_grid(lam, cap):
+    # 5 charges x 8 v x 8 w' x 7 n = 2,240 cases per cap; at cap 2 the
+    # w' of level 3 lies above the cap, and both forms must raise alike
+    M, vs, ws = _dual_grid_inputs(lam, cap)
+    raised = 0
+    for v in vs:
+        for wp in ws:
+            for n in range(-3, 4):
+                got = _outcome(M.dual_mode, v, n, wp)
+                assert got == _outcome(pairing_dual_mode, M, v, n, wp), (v, n, wp)
+                if got is TruncationOverflow:
+                    raised += 1
+                else:
+                    assert got == per_partition_dual_mode(M, v, n, wp), (v, n, wp)
+    assert (raised > 0) == (cap == 2)
+
+
+@pytest.mark.parametrize("cap", (2, 8))
+@pytest.mark.parametrize("lam", DUAL_GRID_CHARGES, ids=str)
+def test_theta_dual_matches_pairing_oracle_on_grid(lam, cap):
+    M, vs, ws = _dual_grid_inputs(lam, cap)
+    for v in vs:
+        for wp in ws:
+            for k in range(-1, 4):
+                for l in range(4):
+                    got = _outcome(M.theta_dual, k, l, v, wp)
+                    assert got == _outcome(pairing_theta_dual, M, k, l, v, wp), \
+                        (k, l, v, wp)
+
+
 def test_dual_mode_truncation():
     # the images of the modes land at the level of w', the result at
     # lev_p + wt v - n - 1; either above the cap raises

@@ -514,7 +514,13 @@ def test_results_are_canonical_and_own_their_terms():
     from voamodes.correspondence import MapTable
     from voamodes.fock import right_vertex_op
     from voamodes.heisenberg import l_zero, sugawara_l
-    from voamodes.matrices import _conjugated_series, _right_op_series
+    from voamodes.matrices import (
+        _conjugated_series,
+        _direct_series,
+        _exp_l1_parity,
+        _module_mode,
+        _right_op_series,
+    )
 
     M = FockModule(Q(1, 2), level_cap=20)
     Y = FockIntertwiner(Q(1, 2), Q(1), level_cap=20)
@@ -544,8 +550,20 @@ def test_results_are_canonical_and_own_their_terms():
             _assert_canonical(right_entry(w, v, kk, nn, ll), series)
         for form in ("direct", "right-op"):
             series = [*_conjugated_series(w, v, k + l).values(),
+                      *_direct_series(w, v, k + l).values(),
                       *_right_op_series(w, v, k + l).values()]
             _assert_canonical(right_entry(w, v, k, n, l, form), series)
+        # the kernel element reads memoized modes, the opposite map a
+        # memoized image per entry; the results own their terms
+        v_top = v.level_component(max(v.levels(), default=0))
+        if l + m >= 0:
+            km = jacobi_kernel_element(M, k, l, n, m, v_top, w)
+            modes = [_module_mode(M.lam, M.level_cap, v_top, i, w).terms
+                     for i in range(m, m + 8)]
+            _assert_canonical(km.entry(k, l + m), modes)
+        for sign in ("plus", "minus"):
+            flipped = opposite_map(IndexedMatrix.single(v, k, l), sign).entry(l, k)
+            _assert_canonical(flipped, [_exp_l1_parity(v).terms])
 
     check()
     # basis vectors with coefficient 1: one engine read per value, the
@@ -580,13 +598,92 @@ def _right_entry_grid(order):
 
 
 def test_right_entries_independent_of_cache_state_and_order(clear_caches):
+    from voamodes import matrices
+
     clear_caches()
     ascending = _right_entry_grid("ascending")
+    # the series stay cached at the largest k + l; the entries are
+    # computed again, each reading a prefix of its form's series
+    matrices._right_entry_cached.cache_clear()
+    warm_descending = _right_entry_grid("descending")
     clear_caches()
     descending = _right_entry_grid("descending")
-    assert ascending == descending
+    matrices._right_entry_cached.cache_clear()
+    warm_ascending = _right_entry_grid("ascending")
+    assert ascending == warm_descending == descending == warm_ascending
     for (i, j, k, n, l, form), vec in ascending.items():
         assert vec == ascending[(i, j, k, n, l, "conjugated")], (i, j, k, n, l, form)
+    # and each entry on cleared caches, its series built to its own k + l
+    for (i, j, k, n, l, form), vec in list(ascending.items())[::7]:
+        clear_caches()
+        assert _right_entry_grid_point(i, j, k, n, l, form) == vec, (i, j, k, n, l, form)
+
+
+def _right_entry_grid_point(i, j, k, n, l, form):
+    M = FockModule(Q(1, 2), level_cap=8)
+    ws = [M.highest(), M.basis(1)[0] + M.highest().scale(-2)]
+    vs = [A1, ONE.scale(Q(1, 2)) + A1 + OM]
+    return right_entry(ws[i], vs[j], k, n, l, form)
+
+
+def test_series_cache_keeps_the_longest_series(clear_caches):
+    from voamodes.matrices import _conjugated_series, _direct_series, _right_op_series
+
+    M = FockModule(Q(1, 2), level_cap=8)
+    w, v = M.basis(1)[0] + M.highest(), ONE + OM
+    for cache in (_conjugated_series, _direct_series, _right_op_series):
+        clear_caches()
+        long = cache(w, v, 4)
+        # a shorter request reads the longer series, which it prefixes
+        assert cache(w, v, 2) is long
+        clear_caches()
+        short = cache(w, v, 2)
+        assert {s: t for s, t in long.items() if s <= 2} == short
+        # a longer request builds anew and is kept
+        longer = cache(w, v, 5)
+        assert longer is not short and cache(w, v, 3) is longer
+        assert {s: t for s, t in longer.items() if s <= 4} == long
+
+
+def test_series_cache_under_concurrent_requests():
+    # more threads than cores, switching often, each asking for the
+    # windows in its own order: every answer must prefix to the series
+    # built cold, and the cache must stay within its bound
+    import sys
+    import threading
+
+    from voamodes.matrices import _conjugated_series, _SeriesCache
+
+    build = _conjugated_series.__wrapped__
+    M = FockModule(Q(-1, 2), level_cap=8)
+    pairs = [(M.highest(), A1), (M.basis(1)[0], OM), (M.basis(2)[1], ONE + A1)]
+    cold = {(i, t): build(w, v, t) for i, (w, v) in enumerate(pairs) for t in range(5)}
+    wrong = []
+
+    def ask(cache, seed):
+        order = [(i, t) for i in range(len(pairs)) for t in range(5)]
+        random.Random(seed).shuffle(order)
+        for i, t in order:
+            got = cache(*pairs[i], t)
+            if {s: terms for s, terms in got.items() if s <= t} != cold[(i, t)]:
+                wrong.append((i, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for maxsize in (2, 3):
+            cache = _SeriesCache(build, maxsize)
+            threads = [threading.Thread(target=ask, args=(cache, seed))
+                       for seed in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert len(cache._series) <= maxsize
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +772,12 @@ def test_right_op_series_matches_fraction_loop(charge):
         for v in vs:
             want = fraction_right_op_series(w, v, 3)
             for t_hi in range(4):
-                # copies: the cached terms stay unwrapped
+                # the cached series may run past t_hi (it is kept to the
+                # largest t_hi built); a request promises the exponents up
+                # to t_hi.  Copies: the cached terms stay unwrapped
                 got = {s: _trusted_vector(M.lam, dict(terms))
-                       for s, terms in _right_op_series(w, v, t_hi).items()}
+                       for s, terms in _right_op_series(w, v, t_hi).items()
+                       if s <= t_hi}
                 assert got == {s: vec for s, vec in want.items() if s <= t_hi}, (w, v, t_hi)
                 for vec in got.values():
                     _assert_canonical(vec)
