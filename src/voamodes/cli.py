@@ -240,7 +240,8 @@ def cmd_tables(args) -> int:
         def write(fh):
             writer = csv.writer(fh)
             writer.writerow(TABLE_COLUMNS)
-            writer.writerows(rows)
+            for *fixed, terms in rows:
+                writer.writerows([(*fixed, result, coeff) for result, coeff in terms])
 
         ok = _write_file(args.csv, write, newline="")
     else:
@@ -254,20 +255,25 @@ def cmd_tables(args) -> int:
 def _table_entries(cfg: RunConfig, target: str):
     """(action, charge, k, n, l, left, right, entry) per entry, in row order.
 
-    The charge and the two factor partitions are already rendered.
+    The charge and the two factor partitions are already rendered.  Each
+    (w, v) block computes its right entries widest window first, k and l
+    descending, so each right-action series is built once at k + l = 2N
+    and read for every smaller window; the rows still go out in (k, n, l)
+    order.
     """
     vb = [(v, _partition_str(next(iter(v.terms))))
           for v in algebra_basis(cfg.max_v_weight)]
     idx = range(cfg.n + 1)
+    grid = [(k, n, l) for k in idx for n in idx for l in idx]
     if target == "algebra":
         for u, pu in vb:
             for v, pv in vb:
-                for k in idx:
-                    for n in idx:
-                        for l in idx:
-                            yield ("product", "0", k, n, l, pu, pv,
-                                   left_entry(u, v, k, n, l))
+                for k, n, l in grid:
+                    yield ("product", "0", k, n, l, pu, pv,
+                           left_entry(u, v, k, n, l))
         return
+    widest_first = [(k, n, l) for k in reversed(idx) for n in idx
+                    for l in reversed(idx)]
     for charge in cfg.charges:
         M = FockModule(charge, cfg.l_max)
         cs = rat_str(charge)
@@ -275,52 +281,56 @@ def _table_entries(cfg: RunConfig, target: str):
             for lw in idx:
                 for w in M.basis(lw):
                     pw = _partition_str(next(iter(w.terms)))
-                    for k in idx:
-                        for n in idx:
-                            for l in idx:
-                                yield ("left", cs, k, n, l, pv, pw,
-                                       left_entry(v, w, k, n, l))
-                                yield ("right", cs, k, n, l, pw, pv,
-                                       right_entry(w, v, k, n, l))
+                    right = {knl: right_entry(w, v, *knl) for knl in widest_first}
+                    for k, n, l in grid:
+                        yield ("left", cs, k, n, l, pv, pw,
+                               left_entry(v, w, k, n, l))
+                        yield ("right", cs, k, n, l, pw, pv, right[k, n, l])
 
 
 def _table_rows(entries):
-    """One TABLE_COLUMNS tuple per term of each entry, partitions sorted.
+    """(action, charge, k, n, l, left, right, terms) per entry with terms.
 
-    A canonical coefficient is an int or a Fraction with denominator > 1,
-    so str() renders it as rat_str does.
+    `terms` lists the entry's (result, coeff) strings, partitions sorted;
+    each entry stands for one TABLE_COLUMNS row per term.  A canonical
+    coefficient is an int or a Fraction with denominator > 1, so str()
+    renders it as rat_str does.
     """
     parts: dict = {}
     for action, charge, k, n, l, left, right, entry in entries:
+        terms = []
         for p, c in sorted(entry.terms.items()):
             result = parts.get(p)
             if result is None:
                 result = parts[p] = _partition_str(p)
-            yield (action, charge, k, n, l, left, right, result, str(c))
-
-
-# one row object of the tables JSON, as json.dumps(indent=2, sort_keys=True)
-# lays it out inside the "rows" list: keys in sorted order, each slot
-# numbered by its column's TABLE_COLUMNS position
-_ROW_JSON = ("    {{\n" + ",\n".join(
-    f'      "{name}": {{{TABLE_COLUMNS.index(name)}}}'
-    for name in sorted(TABLE_COLUMNS)) + "\n    }}")
+            terms.append((result, str(c)))
+        if terms:
+            yield (action, charge, k, n, l, left, right, terms)
 
 
 def _write_table_json(write, cfg: RunConfig, target: str, rows) -> None:
-    """The tables payload, written as _dump_json would write it, row by row.
+    """The tables payload, written as _dump_json would write it, entry by entry.
 
-    The top-level keys go out in sorted order: config, rows, schema, target.
+    Each row object is laid out as json.dumps(indent=2, sort_keys=True)
+    lays it out inside the "rows" list, keys sorted: action, charge,
+    coeff, k, l, left, n, result, right.  One head/middle/tail template
+    per entry holds its fixed fields; each term fills in only its coeff
+    and result, and each entry is one write.  The top-level keys go out
+    in sorted order: config, rows, schema, target.
     """
     enc = encode_basestring_ascii
     write('{\n  "config": ')
     _write_json(write, cfg.echo(), "  ")
     write(',\n  "rows": [')
     sep = "\n"
-    fmt = _ROW_JSON.format
-    for action, charge, k, n, l, left, right, result, coeff in rows:
-        write(sep + fmt(enc(action), enc(charge), k, n, l, enc(left), enc(right),
-                        enc(result), enc(coeff)))
+    for action, charge, k, n, l, left, right, terms in rows:
+        head = (f'    {{\n      "action": {enc(action)},\n'
+                f'      "charge": {enc(charge)},\n      "coeff": ')
+        middle = (f',\n      "k": {k},\n      "l": {l},\n      "left": {enc(left)},'
+                  f'\n      "n": {n},\n      "result": ')
+        tail = f',\n      "right": {enc(right)}\n    }}'
+        write(sep + ",\n".join([head + enc(coeff) + middle + enc(result) + tail
+                                 for result, coeff in terms]))
         sep = ",\n"
     # no rows: json.dumps prints an empty list as []
     write(("]" if sep == "\n" else "\n  ]")

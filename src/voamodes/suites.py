@@ -617,16 +617,21 @@ def _adjoint_holds(ctx: RunContext, sign: str) -> bool:
     cfg = ctx.cfg
     for lam in (Q(1, 2), Q(1)):
         M = ctx.module(lam)
+        basis = M.omega0_basis(cfg.n)
         for v in ctx.v_basis:
             for k in range(cfg.n + 1):
                 for l in range(cfg.n + 1):
                     omat = opposite_map(IndexedMatrix.single(v, k, l), sign)
-                    for w in M.omega0_basis(cfg.n):
-                        for wp in M.omega0_basis(cfg.n):
-                            lhs = M.inner(M.theta_dual(k, l, v, wp), w)
+                    # each image depends on w or on w' alone
+                    duals = [M.theta_dual(k, l, v, wp) for wp in basis]
+                    for w in basis:
+                        images = [M.theta(a, b, entry, w)
+                                  for (a, b), entry in omat.entries.items()]
+                        for wp, dual in zip(basis, duals):
+                            lhs = M.inner(dual, w)
                             rhs = Q(0)
-                            for (a, b), entry in omat.entries.items():
-                                rhs += M.inner(wp, M.theta(a, b, entry, w))
+                            for image in images:
+                                rhs += M.inner(wp, image)
                             if lhs != rhs:
                                 return False
     return True

@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -9,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voamodes import matrices
 from voamodes.cli import TABLE_COLUMNS, _dump_json, _write_table_json, main
 from voamodes.errors import TruncationOverflow
+from voamodes.fock import FockModule
 from voamodes.matrices import right_entry
-from voamodes.suites import SUITE_NAMES, ConfigError, RunConfig, run_suites
+from voamodes.suites import (
+    SUITE_NAMES,
+    ConfigError,
+    RunConfig,
+    algebra_basis,
+    run_suites,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "voamodes" / "schemas"
@@ -234,19 +243,51 @@ def test_tables_json_is_indented_dumps(argv, tmp_path):
     assert len(lines) > 100
 
 
-@pytest.mark.parametrize("rows", [
+@pytest.mark.parametrize("entries", [
     [],
-    [("left", "1/2", 0, 1, 2, "", "2,1", "3", "-5/4"),
-     ("a\"b\\", "\u00e9\n", 10, 0, 7, "\u2603", "", "1,1", "0")],
+    [("left", "1/2", 0, 1, 2, "", "2,1", [("", "1"), ("3", "-5/4")]),
+     ("a\"b\\\u00e9\n", "\n\u00e9\\\"", 10, 0, 7, "\u2603\"\\\n",
+      "\\\n\"\u00e9", [("1,1", "0"), ("\"\u00e9\n\\", "\\\u2603\n\"")])],
 ], ids=["empty", "escaped"])
-def test_tables_json_rows_template(rows):
+def test_tables_json_rows_template(entries):
+    # one template per entry; quote, backslash, non-ASCII and newline in
+    # every string field still come out as json.dumps escapes them
     cfg = RunConfig(n=1, charges=(Q(1, 2),))
     chunks = []
-    _write_table_json(chunks.append, cfg, "bimodule", iter(rows))
+    _write_table_json(chunks.append, cfg, "bimodule", iter(entries))
+    rows = [(*fixed, result, coeff)
+            for *fixed, terms in entries for result, coeff in terms]
     payload = {"config": cfg.echo(), "schema": "voa-modes-tables/1",
                "target": "bimodule",
                "rows": [dict(zip(TABLE_COLUMNS, row)) for row in rows]}
     assert "".join(chunks) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # each entry is one write
+    frame = []
+    _write_table_json(frame.append, cfg, "bimodule", iter([]))
+    assert len(chunks) == len(frame) + len(entries)
+
+
+def test_tables_builds_each_series_once(tmp_path, monkeypatch, clear_caches):
+    # widest window first: one conjugated series per (w, v) pair, read for
+    # every (k, n, l) of its block, where an ascending order builds one
+    # per k + l it meets
+    clear_caches()
+    series = matrices._conjugated_series
+    builds = []
+
+    def counted(w, v, t_hi):
+        builds.append((w, v))
+        return build(w, v, t_hi)
+
+    build = series._build
+    monkeypatch.setattr(series, "_build", counted)
+    out = tmp_path / "t.json"
+    assert main(["tables", "--target", "bimodule", "--N", "1", "--max-v-weight",
+                 "2", "--charges=1/2", "--json", str(out)]) == 0
+    M = FockModule(Q(1, 2), 6)
+    pairs = {(w, v) for w in M.omega0_basis(1) for v in algebra_basis(2)}
+    assert len(pairs) == 8
+    assert Counter(builds) == Counter(pairs)
 
 
 def test_tables_truncation_leaves_no_file(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from voamodes.fock import (
     fock_norm,
     pair_mode_terms,
     right_vertex_op,
+    sigma,
 )
 from voamodes.heisenberg import (
     FockVector,
@@ -307,6 +308,35 @@ def test_theta_dual_matches_pairing_oracle_on_grid(lam, cap):
                     got = _outcome(M.theta_dual, k, l, v, wp)
                     assert got == _outcome(pairing_theta_dual, M, k, l, v, wp), \
                         (k, l, v, wp)
+
+
+def _sigma_breaks_products(sig):
+    """The first (u, n, v) with sig(u_n v) != (sig u)_n (sig v) on V, or None.
+
+    u and v run over the basis of weight <= 3 and n over [-3, 3].
+    """
+    V = FockModule(0, level_cap=8)
+    basis = V.omega0_basis(3)
+    for u in basis:
+        for v in basis:
+            for n in range(-3, 4):
+                if sig(V.mode(u, n, v)) != V.mode(sig(u), n, sig(v)):
+                    return u, n, v
+    return None
+
+
+def test_sigma_is_an_automorphism_of_v():
+    # the contragredient path rests on this: theta_dual(k, l, v, w') is
+    # theta(k, l, sigma v, w') only because a -> -a respects every product
+    assert _sigma_breaks_products(sigma) is None
+
+    def flip_even(v):
+        # the sign on even-length parts instead of odd: -sigma, which
+        # reverses the sign of every nonzero product
+        return FockVector(v.charge, {nu: c if len(nu) % 2 else -c
+                                     for nu, c in v.terms.items()})
+
+    assert _sigma_breaks_products(flip_even) is not None
 
 
 def test_dual_mode_truncation():
