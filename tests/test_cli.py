@@ -273,13 +273,13 @@ def test_tables_builds_each_series_once(tmp_path, monkeypatch, clear_caches):
     # per k + l it meets
     clear_caches()
     series = matrices._conjugated_series
+    build = series._build
     builds = []
 
     def counted(w, v, t_hi):
         builds.append((w, v))
         return build(w, v, t_hi)
 
-    build = series._build
     monkeypatch.setattr(series, "_build", counted)
     out = tmp_path / "t.json"
     assert main(["tables", "--target", "bimodule", "--N", "1", "--max-v-weight",
