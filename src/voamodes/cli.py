@@ -85,7 +85,6 @@ _OPTIONS = {
     "max_v_weight": ("max_v_weight", int, "--max-v-weight"),
     "suites": ("suites", _parse_names, "--suite"),
     "seed": ("seed", int, "--seed"),
-    "workers": ("workers", int, "--workers"),
 }
 
 
@@ -210,7 +209,7 @@ def cmd_verify(args) -> int:
         "suites": [r.row() for r in reports],
         "pass": all(r.ok for r in reports),
     }
-    if args.json and not _dump_json(payload, args.json):
+    if args.json is not None and not _dump_json(payload, args.json):
         return EXIT_CONFIG
     return EXIT_OK if payload["pass"] else EXIT_FAIL
 
@@ -236,7 +235,7 @@ def cmd_tables(args) -> int:
         print(f"truncation overflow: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
     rows = _table_rows(entries)
-    if args.csv:
+    if args.csv is not None:
         def write(fh):
             writer = csv.writer(fh)
             writer.writerow(TABLE_COLUMNS)
@@ -402,13 +401,15 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-v-weight", dest="max_v_weight", type=int,
                        help="largest algebra weight in the grids")
         p.add_argument("--charges", help="comma-separated rational charges")
-        p.add_argument("--workers", type=int, help="concurrent suite count")
 
     pv = sub.add_parser("verify", help="run verification suites")
     common(pv)
     pv.add_argument("--suite", dest="suites", action="append", choices=SUITE_NAMES,
                     help="run only the named suite (repeatable)")
     pv.add_argument("--json", help="write the JSON report here ('-' = stdout)")
+    # runs are single-threaded; the flag stays, accepting only 1 and read by
+    # nothing, solely because the benchmark's verify command line passes it
+    pv.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
     pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("tables", help="emit structure-constant tables")

@@ -94,8 +94,6 @@ class MapTable:
         k, l, nu, mu = key
         val = self._Y.theta(k, l, FockVector.basis(self.lam1, nu),
                             FockVector.basis(self.lam2, mu))
-        # stored before it leaves the pending set, so a reader on another
-        # thread that no longer finds the key pending finds its value
         if val.is_zero():
             val = None
         else:
@@ -106,11 +104,8 @@ class MapTable:
     @property
     def entries(self) -> dict:
         """Every nonzero generator value, keyed by (k, l, nu, mu)."""
-        if self._pending:
-            # a snapshot: other threads may fill keys meanwhile
-            for key in list(self._pending):
-                if key in self._pending:
-                    self._fill(key)
+        for key in list(self._pending):
+            self._fill(key)
         return self._entries
 
     def scale(self, s) -> "MapTable":
@@ -131,16 +126,13 @@ class MapTable:
         """
         if key in self._pending:
             self._fill(key)
-        # pending keys first: a key another thread fills in between is then
-        # pending in the copy, never absent from both
-        pending = set(self._pending)
         out = dict(self._entries)
         cur = out.get(key, zero_vector(self.lam3))
         out[key] = cur + delta
         copy = MapTable(self.lam1, self.lam2, self.kmax, self.w1_levels, out,
                         self.level_cap)
         copy._Y = self._Y
-        copy._pending = pending
+        copy._pending = set(self._pending)
         return copy
 
     # -- lookup ---------------------------------------------------------------
@@ -167,10 +159,8 @@ class MapTable:
                 for mu, c2 in w2_l:
                     key = (k, l, nu, mu)
                     vec = entries.get(key)
-                    if vec is None:
-                        # not pending any more: zero, or filled on another
-                        # thread since the first look
-                        vec = self._fill(key) if key in pending else entries.get(key)
+                    if vec is None and key in pending:
+                        vec = self._fill(key)
                     if vec is not None:
                         _add_into(out, vec.terms, c1 * c2)
         return _trusted_vector(self.lam3, out)

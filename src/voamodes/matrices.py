@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, update_wrapper
-from threading import Lock
 
 from .fock import FockIntertwiner, FockModule, mode_series, right_vertex_op
 from .heisenberg import (
@@ -214,9 +213,8 @@ class _SeriesCache:
     and a residue entry with k + l = t reads only exponents <= t, so the
     series built to t_hi serves every request at or below it; a larger
     request builds anew and replaces it.  At most `maxsize` pairs are
-    kept, the oldest dropped first.  A thread returns the series it built
-    or found and never reads the dict again.  The series are shared and
-    must not be mutated.
+    kept, the oldest dropped first.  The series are shared and must not
+    be mutated.
     """
 
     def __init__(self, build, maxsize: int):
@@ -224,7 +222,6 @@ class _SeriesCache:
         self._build = build
         self._maxsize = maxsize
         self._series: dict = {}
-        self._lock = Lock()
 
     def __call__(self, w: FockVector, v: FockVector, t_hi: int) -> dict:
         key = (w, v)
@@ -232,17 +229,15 @@ class _SeriesCache:
         if got is not None and got[0] >= t_hi:
             return got[1]
         series = self._build(w, v, t_hi)
-        with self._lock:
-            # popped first, so the pair counts as the newest
-            self._series.pop(key, None)
-            self._series[key] = (t_hi, series)
-            while len(self._series) > self._maxsize:
-                del self._series[next(iter(self._series))]
+        # popped first, so the pair counts as the newest
+        self._series.pop(key, None)
+        self._series[key] = (t_hi, series)
+        if len(self._series) > self._maxsize:
+            del self._series[next(iter(self._series))]
         return series
 
     def cache_clear(self) -> None:
-        with self._lock:
-            self._series.clear()
+        self._series.clear()
 
 
 def _series_cache(maxsize: int):

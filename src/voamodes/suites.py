@@ -83,7 +83,6 @@ class RunConfig:
     max_v_weight: int = 3
     suites: tuple = SUITE_NAMES
     seed: int = 0
-    workers: int = 1
 
     def validate(self) -> "RunConfig":
         if self.n < 0:
@@ -114,8 +113,6 @@ class RunConfig:
         if repeated:
             # each would run again and add a second row to the report
             raise ConfigError(f"duplicate suites: {', '.join(repeated)}")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
         return self
 
     def echo(self) -> dict:
@@ -146,7 +143,7 @@ class RunContext:
         self.v_basis = algebra_basis(cfg.max_v_weight)
         self._modules: dict = {}
         self._intertwiners: dict = {}
-        self._tables: dict = {}
+        self._cert = None
 
     def module(self, lam) -> FockModule:
         lam = rat(lam)
@@ -162,16 +159,15 @@ class RunContext:
 
     def cert_table(self):
         """The shared map table used by the certification suites."""
-        key = "cert"
-        if key not in self._tables:
+        if self._cert is None:
             cfg = self.cfg
             kmax = 2 * cfg.n + max(cfg.p_window[1], 0)
             if kmax > cfg.l_max:
                 raise TruncationOverflow(
                     "certification grid needs levels beyond L_max")
             Y = self.intertwiner(Q(1, 2), Q(1, 2))
-            self._tables[key] = MapTable.from_intertwiner(Y, kmax, cfg.l_max)
-        return self._tables[key]
+            self._cert = MapTable.from_intertwiner(Y, kmax, cfg.l_max)
+        return self._cert
 
     def module_probes(self) -> list:
         """The module actions, read as intertwiners, that probe_equal applies."""
@@ -672,39 +668,21 @@ _SUITE_FUNCS = {
 
 
 def run_suites(cfg: RunConfig, echo=None):
-    """Run the configured suites; reports come back in request order.
+    """Run the configured suites in request order, one after another.
 
-    With workers > 1 the suites execute on a thread pool (all operations
-    are pure and the shared caches tolerate concurrent fills); the report
-    list and console echo stay ordered and deterministic either way.
+    Each report is passed to echo, when given, as its suite ends.
     """
     ctx = RunContext(cfg)
     if "jacobi-cert" in cfg.suites or "L1-cert" in cfg.suites:
-        ctx.cert_table()  # surface truncation problems before any thread
-
-    def run_one(name):
+        ctx.cert_table()  # surface truncation problems before any suite runs
+    reports = []
+    for name in cfg.suites:
         start = time.perf_counter()
         report = _SUITE_FUNCS[name](ctx)
         report.wall_ms = (time.perf_counter() - start) * 1000.0
-        return report
-
-    reports = []
-    if cfg.workers <= 1:
-        for name in cfg.suites:
-            report = run_one(name)
-            reports.append(report)
-            if echo is not None:
-                echo(report)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_one, name) for name in cfg.suites]
-            for fut in futures:
-                report = fut.result()
-                reports.append(report)
-                if echo is not None:
-                    echo(report)
+        reports.append(report)
+        if echo is not None:
+            echo(report)
     return reports
 
 

@@ -361,20 +361,55 @@ def test_results_independent_of_suite_order(clear_caches):
     assert rows(reversed(SUITE_NAMES)) == forward
 
 
-def test_workers_flag_deterministic(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", *FAST, "--workers", "4", "--json", str(a)]) == 0
-    assert main(["verify", *FAST, "--workers", "1", "--json", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_clear_caches_empties_every_cache(clear_caches):
+    # every module-level cache of the package: the lru_caches and the
+    # series caches (each has cache_clear) and the two engine dicts.  The
+    # charge intern table is left out: it is not a cache of results but
+    # the one shared Fraction per charge value, already held by module
+    # constants such as ALGEBRA_CHARGE, and it holds a handful of entries
+    import importlib
+    import pkgutil
+
+    import voamodes
+    from voamodes import heisenberg
+
+    def sizes():
+        out = {"heisenberg._EXPAND_CACHE": len(heisenberg._EXPAND_CACHE),
+               "heisenberg._DRESSING_CACHE": len(heisenberg._DRESSING_CACHE)}
+        for info in pkgutil.iter_modules(voamodes.__path__, "voamodes."):
+            for attr, obj in vars(importlib.import_module(info.name)).items():
+                if hasattr(obj, "cache_clear") and not isinstance(obj, type):
+                    name = f"{obj.__module__}.{obj.__qualname__}"
+                    out[name] = (obj.cache_info().currsize if hasattr(obj, "cache_info")
+                                 else len(obj._series))
+        return out
+
+    clear_caches()
+    # opposite fills the one cache the other two suites leave empty
+    assert main(["verify", "--N", "1", "--suite", "three-forms", "--suite", "kernel",
+                 "--suite", "opposite"]) == 0
+    filled = sizes()
+    assert len(filled) == 12 and all(filled.values()), filled
+    clear_caches()
+    assert not any(sizes().values()), sizes()
 
 
-def test_workers_share_the_cert_table(tmp_path):
-    # jacobi-cert and L1-cert read one lazily filled table from two threads
+def test_workers_flag_takes_only_one(tmp_path, capsys):
+    # runs are single-threaded; verify keeps a --workers that accepts 1 only
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    suites = ["--suite", "jacobi-cert", "--suite", "L1-cert", "--suite", "three-forms"]
-    assert main(["verify", "--N", "1", *suites, "--workers", "2", "--json", str(a)]) == 0
-    assert main(["verify", "--N", "1", *suites, "--workers", "1", "--json", str(b)]) == 0
+    assert main(["verify", *FAST, "--workers", "1", "--json", str(a)]) == 0
+    assert main(["verify", *FAST, "--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    for argv in (["verify", *FAST, "--workers", "2"],
+                 ["tables", "--target", "algebra", "--workers", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 2\nsuites = binomial-218\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "unknown config key 'workers'" in _assert_one_line_error(capsys)
 
 
 def test_runconfig_validation():
@@ -439,6 +474,19 @@ def test_unwritable_csv_exit_code(tmp_path, capsys):
                  "--max-v-weight", "1", "--csv", str(out)]) == 2
     assert str(out) in _assert_one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "binomial-218", "--json", ""],
+    ["tables", "--target", "algebra", "--N", "0", "--max-v-weight", "1",
+     "--json", ""],
+    ["tables", "--target", "algebra", "--N", "0", "--max-v-weight", "1",
+     "--csv", ""],
+    ["intertwiner", "--l1", "1/2", "--l2", "1/2", "--N", "1", "--json", ""],
+], ids=["verify-json", "tables-json", "tables-csv", "intertwiner-json"])
+def test_empty_output_path_exit_code(argv, capsys):
+    assert main(argv) == 2
+    assert _assert_one_line_error(capsys).startswith("output error: cannot write : ")
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)

@@ -203,48 +203,6 @@ def test_perturbed_leaves_a_partly_read_table_alone():
     assert table.entries == eager_entries(Y, 3, 4)
 
 
-def test_concurrent_reads_fill_the_table_once_each_value_right():
-    # more threads than cores, switching often: a reader that took a key
-    # being filled on another thread for zero would break the equalities
-    import random
-    import sys
-    import threading
-
-    Y = FockIntertwiner(Q(1, 2), Q(-1), level_cap=8)
-    eager = eager_entries(Y, 3, 3)
-    table = MapTable.from_intertwiner(Y, 3, 3)
-    keys = sorted(eager)
-    wrong = []
-
-    def read(seed):
-        # threads on one order meet on every key
-        order = random.Random(seed).sample(keys, len(keys))
-        for k, l, nu, mu in order:
-            got = table.value(k, l, FockVector.basis(Y.lam1, nu),
-                              FockVector.basis(Y.lam2, mu))
-            if got != eager[(k, l, nu, mu)]:
-                wrong.append((k, l, nu, mu))
-
-    def complete():
-        if table.entries != eager:
-            wrong.append("entries")
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(6)]
-        threads.append(threading.Thread(target=complete))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert table.entries == eager and not table._pending
-
-
 def test_from_intertwiner_checks_the_cap():
     Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=4)
     with pytest.raises(TruncationOverflow):

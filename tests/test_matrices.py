@@ -627,7 +627,12 @@ def _right_entry_grid_point(i, j, k, n, l, form):
 
 
 def test_series_cache_keeps_the_longest_series(clear_caches):
-    from voamodes.matrices import _conjugated_series, _direct_series, _right_op_series
+    from voamodes.matrices import (
+        _conjugated_series,
+        _direct_series,
+        _right_op_series,
+        _SeriesCache,
+    )
 
     M = FockModule(Q(1, 2), level_cap=8)
     w, v = M.basis(1)[0] + M.highest(), ONE + OM
@@ -644,46 +649,30 @@ def test_series_cache_keeps_the_longest_series(clear_caches):
         assert longer is not short and cache(w, v, 3) is longer
         assert {s: t for s, t in longer.items() if s <= 4} == long
 
-
-def test_series_cache_under_concurrent_requests():
-    # more threads than cores, switching often, each asking for the
-    # windows in its own order: every answer must prefix to the series
-    # built cold, and the cache must stay within its bound
-    import sys
-    import threading
-
-    from voamodes.matrices import _conjugated_series, _SeriesCache
-
+    # more pairs than the cache keeps, every window asked in a shuffled
+    # order: each answer prefixes the series built cold, and a new pair
+    # drops the one stored longest ago
     build = _conjugated_series.__wrapped__
     M = FockModule(Q(-1, 2), level_cap=8)
-    pairs = [(M.highest(), A1), (M.basis(1)[0], OM), (M.basis(2)[1], ONE + A1)]
-    cold = {(i, t): build(w, v, t) for i, (w, v) in enumerate(pairs) for t in range(5)}
-    wrong = []
-
-    def ask(cache, seed):
-        order = [(i, t) for i in range(len(pairs)) for t in range(5)]
-        random.Random(seed).shuffle(order)
-        for i, t in order:
-            got = cache(*pairs[i], t)
-            if {s: terms for s, terms in got.items() if s <= t} != cold[(i, t)]:
-                wrong.append((i, t))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for maxsize in (2, 3):
+    pairs = [(M.highest(), A1), (M.basis(1)[0], OM), (M.basis(2)[1], ONE + A1),
+             (M.basis(2)[0], A1)]
+    cold = {(i, t): build(*pair, t) for i, pair in enumerate(pairs) for t in range(5)}
+    asks = [(i, t) for i in range(len(pairs)) for t in range(5)]
+    for maxsize in (2, 3):
+        for seed in range(3):
             cache = _SeriesCache(build, maxsize)
-            threads = [threading.Thread(target=ask, args=(cache, seed))
-                       for seed in range(6)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-            assert not any(th.is_alive() for th in threads)
-            assert len(cache._series) <= maxsize
-    finally:
-        sys.setswitchinterval(interval)
-    assert wrong == []
+            kept: dict = {}  # pair index -> stored window, oldest first
+            for i, t in random.Random(seed).sample(asks, len(asks)):
+                got = cache(*pairs[i], t)
+                assert {s: terms for s, terms in got.items() if s <= t} == cold[i, t]
+                if kept.get(i, -1) < t:
+                    kept.pop(i, None)
+                    kept[i] = t
+                    if len(kept) > maxsize:
+                        del kept[next(iter(kept))]
+                assert len(cache._series) <= maxsize
+                assert [(key, t_hi) for key, (t_hi, _) in cache._series.items()] == \
+                    [(pairs[j], t_j) for j, t_j in kept.items()], (maxsize, seed, i, t)
 
 
 # ---------------------------------------------------------------------------
