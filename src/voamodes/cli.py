@@ -3,20 +3,21 @@
 Exit codes: 0 all checks pass, 1 at least one suite failed, 2 bad
 configuration, an unreadable/unwritable file or a stdout closed by its
 reader, 3 the configured truncation bounds are too tight for a
-requested computation.  JSON output is deterministic byte-for-byte for
-a fixed configuration and seed; timing is printed to the console only,
-on stderr when the JSON report goes to stdout.
+requested computation; `main` alone maps errors to exit codes.  JSON
+output is json.dumps(..., indent=2, sort_keys=True), byte-for-byte
+deterministic for a fixed configuration and seed; timing goes to the
+console only, on stderr when the JSON report goes to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
 from dataclasses import replace
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from .correspondence import MapTable
@@ -117,63 +118,42 @@ def _partition_str(p: tuple) -> str:
     return ",".join(str(x) for x in p)
 
 
+def _output_error(path, reason) -> bool:
+    print(f"output error: cannot write {path}: {reason}", file=sys.stderr)
+    return False
+
+
+def _writable(path) -> bool:
+    """Whether path (None or '-' = stdout) can be opened for writing.
+
+    Checked before any work; it creates nothing, so a run stopped later
+    leaves no file.  Other write errors surface in _write_file.
+    """
+    if path is None or path == "-":
+        return True
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        return _output_error(path, os.strerror(errno.ENOENT))
+    if os.path.isdir(path):
+        return _output_error(path, os.strerror(errno.EISDIR))
+    return True
+
+
 def _write_file(path, write, newline=None) -> bool:
-    """Call write(fh) on path ('-' = stdout); an I/O error is one stderr line."""
-    if path == "-":
+    """Call write(fh) on path (None or '-' = stdout); an I/O error is one stderr line."""
+    if path is None or path == "-":
         write(sys.stdout)
         return True
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             write(fh)
     except OSError as exc:
-        print(f"output error: cannot write {path}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return False
+        return _output_error(path, exc.strerror or exc)
     return True
 
 
-# item separator ",\n": encoded scalars never hold a raw newline, so each
-# newline of a flat container's encoding starts one item
-_FLAT_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
-
-
-def _write_json(write, obj, indent: str = "") -> None:
-    """Stream json.dumps(obj, indent=2, sort_keys=True) through write().
-
-    Scalars, and containers holding only scalars, go through the C
-    encoder in one call each; only the nesting above them runs in
-    Python.  Object keys must be strings.
-    """
-    is_dict = isinstance(obj, dict)
-    if not is_dict and not isinstance(obj, (list, tuple)):
-        write(_FLAT_JSON.encode(obj))
-        return
-    inner = indent + "  "
-    values = obj.values() if is_dict else obj
-    if not any(map(isinstance, values, repeat((dict, list, tuple)))):
-        flat = _FLAT_JSON.encode(obj)
-        if obj:
-            flat = (flat[0] + "\n" + inner + flat[1:-1].replace("\n", "\n" + inner)
-                    + "\n" + indent + flat[-1])
-        write(flat)
-        return
-    write("{" if is_dict else "[")
-    sep = "\n"
-    for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
-        write(sep + inner)
-        sep = ",\n"
-        if is_dict:
-            write(_FLAT_JSON.encode(key) + ": ")
-        _write_json(write, value, inner)
-    write("\n" + indent + ("}" if is_dict else "]"))
-
-
 def _dump_json(payload, path) -> bool:
-    def dump(fh):
-        _write_json(fh.write, payload)
-        fh.write("\n")
-
-    return _write_file("-" if path is None else path, dump)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _write_file(path, lambda fh: fh.write(text))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +161,8 @@ def _dump_json(payload, path) -> bool:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    cfg = build_config(args)
+    if not _writable(args.json):
         return EXIT_CONFIG
 
     # stdout carries nothing but the report when the report goes there
@@ -198,11 +176,7 @@ def cmd_verify(args) -> int:
         if not report.ok:
             print(f"  first failure: {report.first_failure}", file=console)
 
-    try:
-        reports = run_suites(cfg, echo=echo)
-    except TruncationOverflow as exc:
-        print(f"truncation overflow: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
+    reports = run_suites(cfg, echo=echo)
     payload = {
         "schema": REPORT_SCHEMA,
         "config": cfg.echo(),
@@ -219,22 +193,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    try:
-        cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.target not in ("algebra", "bimodule"):
-        print("target must be 'algebra' or 'bimodule'", file=sys.stderr)
+    cfg = build_config(args)
+    path = args.csv if args.csv is not None else args.json
+    if not _writable(path):
         return EXIT_CONFIG
     # every entry is computed before the output is opened, so a truncation
     # overflow leaves no partial file; only the formatting is streamed
-    try:
-        entries = list(_table_entries(cfg, args.target))
-    except TruncationOverflow as exc:
-        print(f"truncation overflow: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    rows = _table_rows(entries)
+    rows = _table_rows(list(_table_entries(cfg, args.target)))
     if args.csv is not None:
         def write(fh):
             writer = csv.writer(fh)
@@ -242,12 +207,12 @@ def cmd_tables(args) -> int:
             for *fixed, terms in rows:
                 writer.writerows([(*fixed, result, coeff) for result, coeff in terms])
 
-        ok = _write_file(args.csv, write, newline="")
+        ok = _write_file(path, write, newline="")
     else:
         def write(fh):
             _write_table_json(fh.write, cfg, args.target, rows)
 
-        ok = _write_file("-" if args.json is None else args.json, write)
+        ok = _write_file(path, write)
     return EXIT_OK if ok else EXIT_CONFIG
 
 
@@ -318,9 +283,8 @@ def _write_table_json(write, cfg: RunConfig, target: str, rows) -> None:
     in sorted order: config, rows, schema, target.
     """
     enc = encode_basestring_ascii
-    write('{\n  "config": ')
-    _write_json(write, cfg.echo(), "  ")
-    write(',\n  "rows": [')
+    config = json.dumps(cfg.echo(), indent=2, sort_keys=True).replace("\n", "\n  ")
+    write('{\n  "config": ' + config + ',\n  "rows": [')
     sep = "\n"
     for action, charge, k, n, l, left, right, terms in rows:
         head = (f'    {{\n      "action": {enc(action)},\n'
@@ -341,19 +305,15 @@ def _write_table_json(write, cfg: RunConfig, target: str, rows) -> None:
 
 
 def cmd_intertwiner(args) -> int:
+    cfg = build_config(args)
     try:
-        cfg = build_config(args)
-        lam1 = rat(args.l1)
-        lam2 = rat(args.l2)
-    except (ConfigError, ValueError, ZeroDivisionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        lam1, lam2 = rat(args.l1), rat(args.l2)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad value for --l1/--l2: {exc}") from None
+    if not _writable(args.json):
         return EXIT_CONFIG
-    try:
-        Y = FockIntertwiner(lam1, lam2, cfg.l_max)
-        table = MapTable.from_intertwiner(Y, cfg.n, cfg.l_max)
-    except TruncationOverflow as exc:
-        print(f"truncation overflow: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
+    Y = FockIntertwiner(lam1, lam2, cfg.l_max)
+    table = MapTable.from_intertwiner(Y, cfg.n, cfg.l_max)
     entries = []
     for key in table.sorted_keys():
         k, l, nu, mu = key
@@ -429,10 +389,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+        except TruncationOverflow as exc:
+            print(f"truncation overflow: {exc}", file=sys.stderr)
+            code = EXIT_TRUNCATION
         sys.stdout.flush()
     except BrokenPipeError:
         _discard_stdout()

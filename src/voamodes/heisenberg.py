@@ -67,6 +67,7 @@ sum (`_NumeratorSum`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, lcm
 
@@ -241,9 +242,7 @@ def _apply_exp_annihilation(mu: tuple, p1: int, q1: int) -> tuple:
     return scale, terms
 
 
-_DRESSING_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _creation_dressing(pending: tuple, p1: int, q1: int, budget: int) -> tuple:
     """(scale, by_size) for the creation stage; by_size[s] lists (partition, coeff).
 
@@ -256,10 +255,6 @@ def _creation_dressing(pending: tuple, p1: int, q1: int, budget: int) -> tuple:
     C(d-1, n_i-1), and exponential mode n acts at most J = budget//n
     times, contributing (q1 n)^J J!.
     """
-    key = (pending, p1, q1, budget)
-    got = _DRESSING_CACHE.get(key)
-    if got is not None:
-        return got
     dressing = {EMPTY: 1}
     for ni in pending:
         nxt: dict = {}
@@ -284,9 +279,7 @@ def _creation_dressing(pending: tuple, p1: int, q1: int, budget: int) -> tuple:
     by_size: list = [[] for _ in range(budget + 1)]
     for ins, c in dressing.items():
         by_size[sum(ins)].append((ins, c))
-    got = (scale, by_size)
-    _DRESSING_CACHE[key] = got
-    return got
+    return scale, by_size
 
 
 def _merge_parts(p: tuple, ins: tuple) -> tuple:

@@ -5,7 +5,7 @@ from voamodes import heisenberg, matrices, series
 
 def _clear_engine_caches():
     heisenberg._EXPAND_CACHE.clear()
-    heisenberg._DRESSING_CACHE.clear()
+    heisenberg._creation_dressing.cache_clear()
 
 
 def _clear_caches():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voamodes import matrices
+from voamodes import cli, matrices, suites
 from voamodes.cli import TABLE_COLUMNS, _dump_json, _write_table_json, main
 from voamodes.errors import TruncationOverflow
 from voamodes.fock import FockModule
@@ -294,8 +294,6 @@ def test_tables_truncation_leaves_no_file(tmp_path, monkeypatch, capsys):
     # an overflow in the last of the 2 * 4 * 27 right entries (two algebra
     # vectors, four module vectors, the (k, n, l) grid) still exits 3
     # before the output is opened
-    import voamodes.cli as cli
-
     calls = []
 
     def last_fails(*args):
@@ -363,7 +361,7 @@ def test_results_independent_of_suite_order(clear_caches):
 
 def test_clear_caches_empties_every_cache(clear_caches):
     # every module-level cache of the package: the lru_caches and the
-    # series caches (each has cache_clear) and the two engine dicts.  The
+    # series caches (each has cache_clear) and the engine dict.  The
     # charge intern table is left out: it is not a cache of results but
     # the one shared Fraction per charge value, already held by module
     # constants such as ALGEBRA_CHARGE, and it holds a handful of entries
@@ -374,8 +372,7 @@ def test_clear_caches_empties_every_cache(clear_caches):
     from voamodes import heisenberg
 
     def sizes():
-        out = {"heisenberg._EXPAND_CACHE": len(heisenberg._EXPAND_CACHE),
-               "heisenberg._DRESSING_CACHE": len(heisenberg._DRESSING_CACHE)}
+        out = {"heisenberg._EXPAND_CACHE": len(heisenberg._EXPAND_CACHE)}
         for info in pkgutil.iter_modules(voamodes.__path__, "voamodes."):
             for attr, obj in vars(importlib.import_module(info.name)).items():
                 if hasattr(obj, "cache_clear") and not isinstance(obj, type):
@@ -474,6 +471,70 @@ def test_unwritable_csv_exit_code(tmp_path, capsys):
                  "--max-v-weight", "1", "--csv", str(out)]) == 2
     assert str(out) in _assert_one_line_error(capsys)
     assert not out.exists()
+
+
+def test_missing_output_dir_fails_before_the_suites(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--json", str(out)]) == 2
+    # no suite ran: nothing was echoed to stdout
+    assert capsys.readouterr() == (
+        "", f"output error: cannot write {out}: No such file or directory\n")
+
+
+def _no_work(*args):
+    raise AssertionError("computed output that cannot be written")
+
+
+def test_missing_output_dir_fails_before_the_tables(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_table_entries", _no_work)
+    out = tmp_path / "missing" / "t.json"
+    assert main(["tables", "--target", "bimodule", "--N", "2",
+                 "--json", str(out)]) == 2
+    assert f"cannot write {out}: " in _assert_one_line_error(capsys)
+
+
+def test_directory_output_path_fails_before_the_intertwiner(tmp_path, monkeypatch,
+                                                             capsys):
+    monkeypatch.setattr(cli, "FockIntertwiner", _no_work)
+    assert main(["intertwiner", "--l1", "1/2", "--l2", "1/2", "--N", "1",
+                 "--json", str(tmp_path)]) == 2
+    assert _assert_one_line_error(capsys) == \
+        f"output error: cannot write {tmp_path}: Is a directory\n"
+
+
+def _overflow(*args):
+    raise TruncationOverflow("level above cap")
+
+
+@pytest.mark.parametrize("argv, patch, code, prefix", [
+    (["verify", "--N", "7", "--lmax", "6"], None, 2, "config error: "),
+    (["tables", "--target", "algebra", "--N", "7", "--lmax", "6"], None, 2,
+     "config error: "),
+    (["intertwiner", "--l1", "1/2", "--l2", "1/2", "--N", "7", "--lmax", "6"],
+     None, 2, "config error: "),
+    (["verify", "--lmax", "4", "--suite", "jacobi-cert"], None, 3,
+     "truncation overflow: "),
+    # the small tables tried never overflow, so one entry is made to
+    (["tables", "--target", "algebra", "--N", "0", "--max-v-weight", "1"],
+     "left_entry", 3, "truncation overflow: "),
+    (["intertwiner", "--l1", "1/0", "--l2", "1/2"], None, 2, "config error: "),
+], ids=["verify-config", "tables-config", "intertwiner-config",
+        "verify-truncation", "tables-truncation", "intertwiner-charge"])
+def test_exit_code_map(argv, patch, code, prefix, capsys, monkeypatch):
+    # main maps each error to its exit code and one stderr line
+    if patch:
+        monkeypatch.setattr(cli, patch, _overflow)
+    assert main(argv) == code
+    assert _assert_one_line_error(capsys).startswith(prefix)
+
+
+def test_other_errors_keep_their_traceback(monkeypatch):
+    def broken(ctx):
+        raise ValueError("a defect, not a bad input")
+
+    monkeypatch.setitem(suites._SUITE_FUNCS, "unit", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        main(["verify", "--suite", "unit"])
 
 
 @pytest.mark.parametrize("argv", [
