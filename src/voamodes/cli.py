@@ -17,7 +17,6 @@ import errno
 import json
 import os
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 from .correspondence import MapTable
@@ -107,7 +106,7 @@ def build_config(args) -> RunConfig:
             fields[field] = parse(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad value for {name}: {value!r} ({exc})")
-    return replace(RunConfig(), **fields).validate()
+    return RunConfig(**fields).validate()
 
 
 def _vec_json(vec: FockVector) -> dict:

@@ -15,7 +15,6 @@ and the round trip lands back on the table entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfTable, TruncationOverflow
@@ -208,7 +207,6 @@ def yf_series(f: MapTable, w1: FockVector, w2: FockVector) -> dict:
 # certification
 
 
-@dataclass
 class SuiteReport:
     """Outcome of a sweep: exact counts plus the first failure as recorded.
 
@@ -217,11 +215,14 @@ class SuiteReport:
     the report row.
     """
 
-    suite: str
-    cases: int = 0
-    passed: int = 0
-    first_failure: object = None
-    wall_ms: float = 0.0
+    __slots__ = ("suite", "cases", "passed", "first_failure", "wall_ms")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.cases = 0
+        self.passed = 0
+        self.first_failure = None
+        self.wall_ms = 0.0
 
     def record(self, ok: bool, detail) -> None:
         self.cases += 1

@@ -28,11 +28,11 @@ Frenkel-Lepowsky-Meurman 1988 for the automorphism).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import TruncationOverflow
 from .heisenberg import (
-    _EXPAND_CACHE,
     ALGEBRA_CHARGE,
     FockVector,
     _add_into,
@@ -41,7 +41,7 @@ from .heisenberg import (
     _numerators,
     _sugawara_core,
     _trusted_vector,
-    expand_key,
+    engine_levels,
     expand_pair,
     intern_charge,
     same_charge,
@@ -56,18 +56,13 @@ Q = Fraction
 def pair_mode_terms(nu: tuple, lam1, mu: tuple, lam2, t: int) -> dict:
     """Terms of the x^(lam1*lam2 + t) coefficient of Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
 
-    These are the terms at level sum(nu) + sum(mu) + t, read straight
-    from the engine cache when that level is there, else computed by
-    expand_pair; the returned terms are shared and must not be mutated.
+    These are the terms at level sum(nu) + sum(mu) + t, read through
+    `engine_levels`; the returned terms are shared and must not be mutated.
     """
     level = sum(nu) + sum(mu) + t
     if level < 0:
         return {}
-    entry = _EXPAND_CACHE.get(expand_key(nu, lam1, mu, lam2))
-    got = None if entry is None else entry[1].get(level)
-    if got is None:
-        return expand_pair(nu, lam1, mu, lam2, level).get(t, {})
-    return got
+    return engine_levels(nu, lam1, mu, lam2, level)[level]
 
 
 def _pair_sum(v_terms: dict, lam1, w_items, lam2, scale, t_of_level) -> dict:
@@ -80,10 +75,12 @@ def _pair_sum(v_terms: dict, lam1, w_items, lam2, scale, t_of_level) -> dict:
     out: dict = {}
     for nu, cv in v_terms.items():
         t = t_of_level(sum(nu))
+        if scale != 1:
+            cv = cv * scale
         for mu, cw in w_items:
             got = pair_mode_terms(nu, lam1, mu, lam2, t)
             if got:
-                _add_into(out, got, cv * cw * scale)
+                _add_into(out, got, cv * cw)
     return out
 
 
@@ -129,6 +126,12 @@ def sigma(v: FockVector) -> FockVector:
                                       for nu, c in v.terms.items()})
 
 
+@lru_cache(maxsize=None)
+def _basis(lam: Fraction, level: int) -> tuple:
+    """The level-`level` partition basis of F(lam), built once per (lam, level)."""
+    return tuple(FockVector.basis(lam, p) for p in partitions_of(level))
+
+
 class FockModule:
     """The Fock module F(lam): charge lam, lowest weight lam^2/2.
 
@@ -148,13 +151,14 @@ class FockModule:
         return zero_vector(self.lam)
 
     def basis(self, level: int):
-        return [FockVector.basis(self.lam, p) for p in partitions_of(level)]
+        """The partition basis at `level`: a fresh list of shared vectors."""
+        return list(_basis(self.lam, level))
 
     def omega0_basis(self, n: int):
         """Basis of Omega_n^0: all levels 0..n."""
         if n > self.level_cap:
             raise TruncationOverflow(f"level {n} above cap {self.level_cap}")
-        return [v for m in range(n + 1) for v in self.basis(m)]
+        return [v for m in range(n + 1) for v in _basis(self.lam, m)]
 
     # -- module vertex operator modes ---------------------------------------
 

@@ -20,7 +20,11 @@ Python `int` when its value is integral, otherwise a `Fraction` with
 denominator > 1.  The two compare and hash alike (1 == Fraction(1) and
 hash(1) == hash(Fraction(1))), so equality, cache keys and printed
 forms do not see the difference, and integral arithmetic stays on
-`int`s.  Exponents stay `Fraction`s.
+`int`s.  The scalars that multiply coefficients follow the same rule:
+`series.gen_binomial`, the residue weights and Jacobi sums built from
+it, and `weight_of` of an algebra vector.  Since `int / int` is a
+float, a quotient of two such scalars is written `Fraction(a, b)`.
+Exponents stay `Fraction`s.
 
 Charges are interned: `intern_charge` gives every charge value one
 shared plain `Fraction`, and the charge-bearing objects (`FockVector`,
@@ -36,7 +40,8 @@ computed so far.  `expand_key` keys it on the integer numerators and
 denominators of the two charges, which hash far faster than `Fraction`s;
 an `int` charge and the equal `Fraction` share one entry.  A request
 computes exactly the levels it is missing, in one creation pass built up
-to the highest of them (the budget).  The
+to the highest of them (the budget); `engine_levels` reads a filled
+entry without going through `expand_pair`.  The
 engine carries integer numerators over one common denominator per pass
 and divides once, when the levels go into the cache as canonical
 coefficients.  With lam1 = p1/q1 and lam2 = p2/q2 the denominator has
@@ -72,7 +77,7 @@ from itertools import combinations
 from math import comb, factorial, lcm
 
 from .errors import NonHomogeneous, TruncationOverflow
-from .series import rat, rat_str
+from .series import _quotient, rat, rat_str
 
 Q = Fraction
 
@@ -185,8 +190,12 @@ def _scale_terms(terms: dict, s) -> dict:
 
 
 def _add_into(target: dict, terms: dict, s=1) -> None:
+    """Add s * terms into target; terms must be canonical, with no zeros."""
     s = _canon(s)
     if s == 1:
+        if not target:
+            target.update(terms)
+            return
         for p, c in terms.items():
             _acc(target, p, c)
     elif s != 0:
@@ -367,12 +376,6 @@ def _fill_levels(entry: tuple, p1: int, q1: int, missing: list) -> None:
         levels[lev] = {p: _quotient(c, scale) for p, c in terms.items() if c}
 
 
-def _quotient(num: int, den: int):
-    """num/den as a canonical coefficient."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
-
-
 def _numerators(terms: dict) -> tuple:
     """(den, {p: int}) with terms = nums / den over the least common denominator.
 
@@ -454,6 +457,24 @@ def expand_pair(nu: tuple, lam1, mu: tuple, lam2, max_level: int) -> dict:
     return {lev - base: levels[lev] for lev in range(max_level + 1) if levels[lev]}
 
 
+def engine_levels(nu: tuple, lam1, mu: tuple, lam2, level: int) -> dict:
+    """The cached {level: terms} of a basis pair, filled at least up to `level`.
+
+    Read straight from `_EXPAND_CACHE`; `expand_pair` runs only when
+    `level` is missing.  Its levels 0..max_level are always present
+    together, so `level` present means every lower one is too.  The key
+    is `level`, not the exponent: level sum(nu) + sum(mu) + t holds the
+    x^(lam1*lam2 + t) coefficient, an empty dict when that is zero.  The
+    dict and its terms are shared with the cache and must not be mutated.
+    """
+    key = expand_key(nu, lam1, mu, lam2)
+    entry = _EXPAND_CACHE.get(key)
+    if entry is None or level not in entry[1]:
+        expand_pair(nu, lam1, mu, lam2, level)
+        entry = _EXPAND_CACHE[key]
+    return entry[1]
+
+
 # ---------------------------------------------------------------------------
 # Fock vectors
 
@@ -513,7 +534,11 @@ class FockVector:
         return not self.terms
 
     def levels(self):
-        return sorted({sum(p) for p in self.terms})
+        terms = self.terms
+        if len(terms) == 1:
+            (p,) = terms
+            return [sum(p)]
+        return sorted({sum(p) for p in terms})
 
     def level_component(self, n: int) -> "FockVector":
         return _trusted_vector(
@@ -655,8 +680,13 @@ def l_zero(vec: FockVector) -> FockVector:
     return FockVector(vec.charge, out)
 
 
-def weight_of(vec: FockVector) -> Fraction:
-    """Conformal weight of a homogeneous vector: charge^2/2 + level."""
+def weight_of(vec: FockVector):
+    """Conformal weight of a homogeneous vector: charge^2/2 + level.
+
+    An algebra vector's weight is its level, an `int`.
+    """
+    if same_charge(vec.charge, ALGEBRA_CHARGE):
+        return vec.level()
     return vec.charge * vec.charge / 2 + vec.level()
 
 

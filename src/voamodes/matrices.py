@@ -54,7 +54,7 @@ from .heisenberg import (
     _sugawara_core,
     _trusted_vector,
     conformal_vector,
-    expand_pair,
+    engine_levels,
     intern_charge,
     same_charge,
     sugawara_l,
@@ -165,15 +165,19 @@ def left_entry(v: FockVector, w: FockVector, k: int, n: int, l: int) -> FockVect
 
 @lru_cache(maxsize=1 << 18)
 def _left_entry_cached(v, w, k, n, l):
+    # every exponent s of the weights is at most k + l, so the engine
+    # levels it reads, sum(nu) + sum(mu) + s, are filled
     out: dict = {}
     for nu, cv in v.terms.items():
         weights = _residue_weights(k, n, l, l + sum(nu))
         for mu, cw in w.terms.items():
-            pairs = expand_pair(nu, ALGEBRA_CHARGE, mu, w.charge, sum(nu) + sum(mu) + k + l)
-            for t, c in weights.items():
-                got = pairs.get(t)
+            base = sum(nu) + sum(mu)
+            levels = engine_levels(nu, ALGEBRA_CHARGE, mu, w.charge, base + k + l)
+            c_pair = cv * cw
+            for s, c in weights.items():
+                got = levels.get(base + s)
                 if got:
-                    _add_into(out, got, cv * cw * c)
+                    _add_into(out, got, c_pair * c)
     return _trusted_vector(w.charge, out)
 
 
@@ -258,7 +262,7 @@ def _conjugated_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
         v_h = v.level_component(h)
         series = mode_series(v_h.terms, ALGEBRA_CHARGE, w.terms, w.charge, t_hi)
         for t, terms in series.items():
-            sign = Q(-1) if t % 2 else Q(1)
+            sign = -1 if t % 2 else 1
             for j in range(0, t_hi - t + 1):
                 cj = gen_binomial(-h - t, j)
                 if cj != 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .correspondence import (
@@ -74,15 +73,20 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    n: int = 2
-    l_max: int = 6
-    charges: tuple = (Q(0), Q(1, 2), Q(1))
-    p_window: tuple = (-2, 2)
-    max_v_weight: int = 3
-    suites: tuple = SUITE_NAMES
-    seed: int = 0
+    """The settings of one run; immutable, built by keyword."""
+
+    __slots__ = ("n", "l_max", "charges", "p_window", "max_v_weight", "suites", "seed")
+
+    def __init__(self, *, n: int = 2, l_max: int = 6,
+                 charges: tuple = (Q(0), Q(1, 2), Q(1)), p_window: tuple = (-2, 2),
+                 max_v_weight: int = 3, suites: tuple = SUITE_NAMES, seed: int = 0):
+        for name, value in zip(self.__slots__, (n, l_max, charges, p_window,
+                                                max_v_weight, suites, seed)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RunConfig is immutable")
 
     def validate(self) -> "RunConfig":
         if self.n < 0:
@@ -508,7 +512,7 @@ def suite_exp_l(ctx: RunContext) -> SuiteReport:
             for d in range(top + 1):
                 rhs = M.zero()
                 for a in range(d + 1):
-                    coeff = gen_binomial(hw, d - a) / fact[a]
+                    coeff = Q(gen_binomial(hw, d - a), fact[a])
                     if coeff != 0:
                         rhs = rhs + powers[a].scale(coeff)
                 rep.record(lhs_terms[d] == rhs, lambda: _render(

@@ -1,6 +1,6 @@
 import pytest
 
-from voamodes import heisenberg, matrices, series
+from voamodes import fock, heisenberg, matrices, series
 
 
 def _clear_engine_caches():
@@ -11,6 +11,7 @@ def _clear_engine_caches():
 def _clear_caches():
     _clear_engine_caches()
     series._binom_cached.cache_clear()
+    fock._basis.cache_clear()
     matrices._left_entry_cached.cache_clear()
     matrices._right_entry_cached.cache_clear()
     matrices._conjugated_series.cache_clear()

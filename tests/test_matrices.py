@@ -486,6 +486,11 @@ def test_wrong_charge_raises(call):
         call()
 
 
+def is_canonical(c) -> bool:
+    """An int when the value is integral, otherwise a Fraction with denominator > 1."""
+    return type(c) is int or (type(c) is Q and c.denominator > 1)
+
+
 def _assert_canonical(vec, shared=()):
     """vec is in the form FockVector() builds, and owns its terms dict."""
     from voamodes.heisenberg import _EXPAND_CACHE
@@ -495,10 +500,7 @@ def _assert_canonical(vec, shared=()):
     for p, c in vec.terms.items():
         assert type(p) is tuple and all(type(x) is int and x > 0 for x in p)
         assert all(p[i] >= p[i + 1] for i in range(len(p) - 1))
-        # an int when the value is integral, otherwise a Fraction with
-        # denominator > 1
-        assert type(c) is int or (type(c) is Q and c.denominator > 1)
-        assert c != 0
+        assert is_canonical(c) and c != 0
     held = [terms for _, levels in _EXPAND_CACHE.values() for terms in levels.values()]
     # the walk must reach the engine's term dicts, or the check is vacuous
     assert all(type(terms) is dict for terms in held) and (held or not _EXPAND_CACHE)
@@ -582,6 +584,38 @@ def test_results_are_canonical_and_own_their_terms():
             for v in (ONE, A1):
                 for vec in right_vertex_op(M, w, v, -4, k).values():
                     _assert_canonical(vec)
+
+
+def test_scalars_stay_exact_over_the_n1_grid(clear_caches):
+    # int / int is a float, so a division of canonical scalars that lost
+    # its Fraction would show here; the grid is what verify --N 1 reads
+    # at the default charges, p window and algebra weights
+    from voamodes.matrices import (
+        _conjugated_series,
+        _direct_series,
+        _residue_weights,
+        _right_op_series,
+        jacobi_sums,
+    )
+    from voamodes.suites import algebra_basis
+
+    scalars = []
+    for k, l, n, hv, lev in itertools.product(range(3), range(2), range(2), range(4),
+                                              range(2)):
+        for p in range(-l, 3):
+            scalars += [c for sums in jacobi_sums(k, l, n, p, hv, lev) for _, c in sums]
+    for k, n, l, e in itertools.product(range(3), range(4), range(4), range(7)):
+        scalars += _residue_weights(k, n, l, e).values()
+    for c in CHARGES:
+        for w in FockModule(c, level_cap=6).omega0_basis(1):
+            for v in algebra_basis(3):
+                for build in (_conjugated_series, _direct_series, _right_op_series):
+                    for s, terms in build(w, v, 4).items():
+                        assert type(s) is int
+                        scalars += terms.values()
+    assert len(scalars) > 1000
+    bad = [c for c in scalars if not is_canonical(c)]
+    assert not bad, bad[:5]
 
 
 def _right_entry_grid(order):

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from voamodes.series import gen_binomial, rat, rat_str
 
-# the series oracles of the left entries live beside them
-from test_matrices import residue, truncated_taylor
+# the series oracles of the left entries, and the scalar rule, live beside them
+from test_matrices import is_canonical, residue, truncated_taylor
 
 
 def full_binomial_expansion(alpha, top_m):
@@ -16,13 +17,33 @@ def full_binomial_expansion(alpha, top_m):
             if gen_binomial(alpha, m) != 0}
 
 
+def falling_factorial_binomial(a, m):
+    """C(a, m) = a(a-1)...(a-m+1)/m!, in Fraction arithmetic throughout."""
+    num = Q(1)
+    for i in range(m):
+        num *= Q(a) - i
+    return num / factorial(m)
+
+
 def test_gen_binomial_examples():
     assert gen_binomial(5, 0) == 1
     assert gen_binomial(2, 5) == 0
     # falling factorial oracle: (-3)(-4)/2
     assert gen_binomial(-3, 2) == Q(-3) * Q(-4) / 2 == 6
-    # an int top and the equal Fraction give one Fraction, from either side
-    assert all(type(gen_binomial(a, m)) is Q for a in (4, Q(4), -3) for m in range(4))
+    # an int top and the equal Fraction give one canonical value, from
+    # either side: an int here, since every one of these is integral
+    assert all(type(gen_binomial(a, m)) is int for a in (4, Q(4), -3) for m in range(4))
+    assert type(gen_binomial(Q(1, 2), 1)) is Q
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.integers(-12, 12),
+                 st.builds(Q, st.integers(-24, 24), st.integers(1, 4))),
+       st.integers(0, 8))
+def test_gen_binomial_matches_falling_factorial(a, m):
+    got = gen_binomial(a, m)
+    assert got == falling_factorial_binomial(a, m)
+    assert is_canonical(got)
 
 
 def test_gen_binomial_rational():
