@@ -55,6 +55,7 @@ from .heisenberg import (
     _trusted_vector,
     conformal_vector,
     engine_levels,
+    expand_pair,  # noqa: F401  (perfbench/test_perfbench.py checks its tracer rebinds it here)
     intern_charge,
     same_charge,
     sugawara_l,

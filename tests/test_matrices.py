@@ -586,7 +586,7 @@ def test_results_are_canonical_and_own_their_terms():
                     _assert_canonical(vec)
 
 
-def test_scalars_stay_exact_over_the_n1_grid(clear_caches):
+def test_scalars_stay_exact_over_the_n1_grid():
     # int / int is a float, so a division of canonical scalars that lost
     # its Fraction would show here; the grid is what verify --N 1 reads
     # at the default charges, p window and algebra weights
