@@ -14,15 +14,19 @@ The evaluation maps turn doubly indexed matrices into operators:
     theta of intertwiner   same with the exponent shifted by the lowest
                            weights of source and target.
 
-The algebra V is F(0) as a module over itself: its modes are those of
-FockModule(0), and its vertex operator is the series of
-FockIntertwiner(0, 0).  The contragredient module is realized on the
-same partition basis via the pairing with a(n)* = a(-n) and
-<|q>,|q>> = 1.  There the current acts as a'(n) = -a(n), so
-Y'(v, x) = Y(sigma v, x), where sigma is the automorphism a -> -a of V
-(it multiplies a(-nu)|0> by (-1)^len(nu) and fixes the conformal
-vector; Frenkel-Huang-Lepowsky 1993 for contragredient modules,
-Frenkel-Lepowsky-Meurman 1988 for the automorphism).
+A module W = F(q) acts through its vertex operator Y_W, which is the
+intertwiner of type (W; V W) (Frenkel-Huang-Lepowsky 1993):
+FockModule(q).mode and .theta are those of FockIntertwiner(0, q), its
+`vertex_operator`.  The algebra V is F(0) as a module over itself, so
+its vertex operator is FockIntertwiner(0, 0).
+
+The contragredient module is realized on the same partition basis via
+the pairing with a(n)* = a(-n) and <|q>,|q>> = 1.  There the current
+acts as a'(n) = -a(n), so Y'(v, x) = Y(sigma v, x), where sigma is the
+automorphism a -> -a of V (it multiplies a(-nu)|0> by (-1)^len(nu) and
+fixes the conformal vector; Frenkel-Huang-Lepowsky 1993 for
+contragredient modules, Frenkel-Lepowsky-Meurman 1988 for the
+automorphism).
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .heisenberg import (
     _numerators,
     _sugawara_core,
     _trusted_vector,
-    engine_levels,
     expand_pair,
     intern_charge,
     same_charge,
@@ -53,34 +56,26 @@ from .series import rat, rat_str
 Q = Fraction
 
 
-def pair_mode_terms(nu: tuple, lam1, mu: tuple, lam2, t: int) -> dict:
-    """Terms of the x^(lam1*lam2 + t) coefficient of Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
-
-    These are the terms at level sum(nu) + sum(mu) + t, read through
-    `engine_levels`; the returned terms are shared and must not be mutated.
-    """
-    level = sum(nu) + sum(mu) + t
-    if level < 0:
-        return {}
-    return engine_levels(nu, lam1, mu, lam2, level)[level]
-
-
 def _pair_sum(v_terms: dict, lam1, w_items, lam2, scale, t_of_level) -> dict:
     """Terms of the sum of cv cw scale [x^(lam1*lam2 + t)] Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
 
     The sum runs over (nu, cv) in v_terms and (mu, cw) in w_items, with
-    t = t_of_level(sum(nu)): one engine read per pair.  The evaluation
-    maps and the modes of both module classes are this loop.
+    t = t_of_level(sum(nu)): one engine read per pair, of the one level
+    sum(nu) + sum(mu) + t.  The evaluation maps and the modes of the
+    intertwiners, and so of the modules, are this loop.
     """
     out: dict = {}
     for nu, cv in v_terms.items():
-        t = t_of_level(sum(nu))
+        a = sum(nu)
+        t = t_of_level(a)
         if scale != 1:
             cv = cv * scale
         for mu, cw in w_items:
-            got = pair_mode_terms(nu, lam1, mu, lam2, t)
-            if got:
-                _add_into(out, got, cv * cw)
+            level = a + sum(mu) + t
+            if level >= 0:
+                got = expand_pair(nu, lam1, mu, lam2, level)[level]
+                if got:
+                    _add_into(out, got, cv * cw)
     return out
 
 
@@ -88,16 +83,21 @@ def mode_series(v_terms: dict, lam1, w_terms: dict, lam2, t_hi: int, scale=1) ->
     """{t: terms} of the x^(lam1*lam2 + t) coefficients of scale * Y(v, x) w, t <= t_hi.
 
     v = sum cv a(-nu)|lam1> and w = sum cw a(-mu)|lam2> are given by
-    their terms.  Each pair is one engine read up to level
+    their terms.  Each pair is one engine read of levels 0 to
     sum(nu) + sum(mu) + t_hi.  The term dicts are fresh and canonical,
     and zero coefficients are absent.
     """
     by_t: dict = {}
     for nu, cv in v_terms.items():
+        a = sum(nu)
         for mu, cw in w_terms.items():
-            pairs = expand_pair(nu, lam1, mu, lam2, sum(nu) + sum(mu) + t_hi)
-            for t, terms in pairs.items():
-                _add_into(by_t.setdefault(t, {}), terms, cv * cw * scale)
+            base = a + sum(mu)
+            top = base + t_hi
+            levels = expand_pair(nu, lam1, mu, lam2, top)
+            for lev in range(top + 1):
+                terms = levels[lev]
+                if terms:
+                    _add_into(by_t.setdefault(lev - base, {}), terms, cv * cw * scale)
     return {t: terms for t, terms in by_t.items() if terms}
 
 
@@ -143,6 +143,7 @@ class FockModule:
         self.lam = intern_charge(lam)
         self.level_cap = int(level_cap)
         self.h = self.lam * self.lam / 2
+        self._vertex_operator = None
 
     def highest(self) -> FockVector:
         return FockVector(self.lam, {(): 1})
@@ -162,24 +163,21 @@ class FockModule:
 
     # -- module vertex operator modes ---------------------------------------
 
-    def _check(self, v: FockVector, w: FockVector) -> None:
-        """Raise unless v is an algebra vector and w belongs to this module."""
-        if not same_charge(v.charge, ALGEBRA_CHARGE):
-            raise ValueError("module modes take algebra vectors on the left")
-        if not same_charge(w.charge, self.lam):
-            raise ValueError("vector does not belong to this module")
+    @property
+    def vertex_operator(self) -> "FockIntertwiner":
+        """Y_W, the intertwiner of type (W; V W), built on first use.
+
+        Built lazily: an intertwiner builds modules of its own.
+        """
+        vo = self._vertex_operator
+        if vo is None:
+            vo = self._vertex_operator = FockIntertwiner(ALGEBRA_CHARGE, self.lam,
+                                                         self.level_cap)
+        return vo
 
     def mode(self, v: FockVector, n_index, w: FockVector) -> FockVector:
         """(Y_W)_n(v) w for v in the algebra; zero for non-integer n."""
-        self._check(v, w)
-        n_index = rat(n_index)
-        if n_index.denominator != 1:
-            return self.zero()
-        t = -int(n_index) - 1
-        _check_result_level(v, w, t, self.level_cap, "mode result")
-        return _trusted_vector(
-            self.lam, _pair_sum(v.terms, ALGEBRA_CHARGE, w.terms.items(), self.lam, 1,
-                                lambda a: t))
+        return self.vertex_operator.mode(n_index, v, w)
 
     # -- evaluation map of matrices over the algebra ------------------------
 
@@ -190,13 +188,7 @@ class FockModule:
         so each pair with the level-l terms of w is one engine read at
         level k.
         """
-        self._check(v, w)
-        if k > self.level_cap:
-            raise TruncationOverflow(f"target level {k} above cap")
-        w_l = [(mu, cw) for mu, cw in w.terms.items() if sum(mu) == l]
-        return _trusted_vector(
-            self.lam, _pair_sum(v.terms, ALGEBRA_CHARGE, w_l, self.lam, 1,
-                                lambda a: k - a - l))
+        return self.vertex_operator.theta(k, l, v, w)
 
     # -- contragredient module ----------------------------------------------
 
@@ -260,8 +252,8 @@ class FockIntertwiner:
     The modules have semisimple L(0), so the operator has no log x
     terms.  `scale` multiplies the whole operator (the fusion space is
     one-dimensional; scale 1 pins the leading coefficient of
-    Y(|q1>,x)|q2> to 1).  FockIntertwiner(0, 0) is the vertex operator
-    of the algebra V = F(0).
+    Y(|q1>,x)|q2> to 1).  FockIntertwiner(0, q) is the vertex operator
+    of the module F(q), and FockIntertwiner(0, 0) that of the algebra V.
     """
 
     def __init__(self, lam1, lam2, level_cap: int = 6, scale=1):

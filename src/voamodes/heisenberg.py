@@ -38,14 +38,16 @@ nothing depends on the interning.
 rows over one scale, which do not depend on the level) and the levels
 computed so far.  `expand_key` keys it on the integer numerators and
 denominators of the two charges, which hash far faster than `Fraction`s;
-an `int` charge and the equal `Fraction` share one entry.  A request
-computes exactly the levels it is missing, in one creation pass built up
-to the highest of them (the budget); `engine_levels` reads a filled
-entry without going through `expand_pair`.  The
-engine carries integer numerators over one common denominator per pass
-and divides once, when the levels go into the cache as canonical
-coefficients.  With lam1 = p1/q1 and lam2 = p2/q2 the denominator has
-three sources:
+an `int` charge and the equal `Fraction` share one entry.  `expand_pair`
+is the one read of the cache: it returns the pair's `{level: terms}`
+dict, and a request above the filled levels computes the levels from
+the first missing one up to it, in one creation pass built up to the
+request (the budget).  So the levels of an entry always run
+contiguously from 0, and every reader indexes the levels it asked
+for.  The engine carries integer numerators over one common
+denominator per pass and divides once, when the levels go into the
+cache as canonical coefficients.  With lam1 = p1/q1 and lam2 = p2/q2
+the denominator has three sources:
 
 - each exponential mode n applied at most J times is scaled by
   S_n = (q1 n)^J J!, which makes every factor (+-lam1)^j/(n^j j!) an
@@ -76,7 +78,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, lcm
 
-from .errors import NonHomogeneous, TruncationOverflow
+from .errors import NonHomogeneous
 from .series import _quotient, rat, rat_str
 
 Q = Fraction
@@ -349,24 +351,22 @@ def _annihilation_stage(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction) ->
                              if terms}
 
 
-def _fill_levels(entry: tuple, p1: int, q1: int, missing: list) -> None:
-    """Compute the listed levels (ascending) of a cache entry in one creation pass.
+def _fill_levels(entry: tuple, p1: int, q1: int, top: int) -> None:
+    """Compute the levels of a cache entry from its first missing one up to top.
 
-    The dressing is built up to the highest missing level and each row
-    only meets the insertions that land it on a missing level; the sums
-    are divided by the common denominator once, here.
+    One creation pass: the dressing is built up to top and each row only
+    meets the insertions that land it on a missing level; the sums are
+    divided by the common denominator once, here.
     """
     (scale, by_pending), levels = entry
-    budget = missing[-1]
-    out = {lev: {} for lev in missing}
+    first = len(levels)
+    out = {lev: {} for lev in range(first, top + 1)}
     dscale = 1
     for pending, terms in by_pending.items():
-        dscale, by_size = _creation_dressing(pending, p1, q1, budget)
+        dscale, by_size = _creation_dressing(pending, p1, q1, top)
         for p, c in terms.items():
             s = sum(p)
-            for lev in missing:
-                if lev < s:
-                    continue
+            for lev in range(max(first, s), top + 1):
                 target = out[lev]
                 for ins, dc in by_size[lev - s]:
                     key = _merge_parts(p, ins)
@@ -430,49 +430,27 @@ class _NumeratorSum:
         return {p: _quotient(c, den) for p, c in self.nums.items() if c}
 
 
-def expand_pair(nu: tuple, lam1, mu: tuple, lam2, max_level: int) -> dict:
-    """Coefficients {t: terms} of x^(lam1*lam2 + t) in Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
+def expand_pair(nu: tuple, lam1, mu: tuple, lam2, level: int) -> dict:
+    """The cached {level: terms} of Y(a(-nu)|lam1>, x) a(-mu)|lam2>, filled up to `level`.
 
-    Output terms live at charge lam1 + lam2 and level sum(nu) + sum(mu) + t;
-    every t with 0 <= sum(nu) + sum(mu) + t <= max_level is present
-    (possibly zero and then absent).  The returned terms are shared with
-    the cache and must not be mutated.
+    Level sum(nu) + sum(mu) + t holds the coefficient of x^(lam1*lam2 + t),
+    at charge lam1 + lam2, as an empty dict when it is zero.  The levels
+    run contiguously from 0 to at least `level`; levels above it may be
+    present, so a reader indexes only the levels it asked for.  The
+    charges are ints or `Fraction`s.  The dict and its terms are shared
+    with the cache and must not be mutated.
 
-    The cache entry of a pair holds its annihilation stage and a
-    {level: terms} dict with every level computed so far, an empty dict
-    for a zero level.  A request computes exactly its missing levels, in
-    one pass.
+    The cache entry of a pair holds its annihilation stage and the levels;
+    a request above them fills the missing ones in one pass.
     """
-    lam1 = rat(lam1)
-    lam2 = rat(lam2)
     key = expand_key(nu, lam1, mu, lam2)
     entry = _EXPAND_CACHE.get(key)
     if entry is None:
         entry = _EXPAND_CACHE[key] = (_annihilation_stage(nu, lam1, mu, lam2), {})
     levels = entry[1]
-    missing = [lev for lev in range(max_level + 1) if lev not in levels]
-    if missing:
-        _fill_levels(entry, lam1.numerator, lam1.denominator, missing)
-    base = sum(nu) + sum(mu)
-    return {lev - base: levels[lev] for lev in range(max_level + 1) if levels[lev]}
-
-
-def engine_levels(nu: tuple, lam1, mu: tuple, lam2, level: int) -> dict:
-    """The cached {level: terms} of a basis pair, filled at least up to `level`.
-
-    Read straight from `_EXPAND_CACHE`; `expand_pair` runs only when
-    `level` is missing.  Its levels 0..max_level are always present
-    together, so `level` present means every lower one is too.  The key
-    is `level`, not the exponent: level sum(nu) + sum(mu) + t holds the
-    x^(lam1*lam2 + t) coefficient, an empty dict when that is zero.  The
-    dict and its terms are shared with the cache and must not be mutated.
-    """
-    key = expand_key(nu, lam1, mu, lam2)
-    entry = _EXPAND_CACHE.get(key)
-    if entry is None or level not in entry[1]:
-        expand_pair(nu, lam1, mu, lam2, level)
-        entry = _EXPAND_CACHE[key]
-    return entry[1]
+    if len(levels) <= level:
+        _fill_levels(entry, lam1.numerator, lam1.denominator, level)
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,7 @@ from .heisenberg import (
     _sugawara_core,
     _trusted_vector,
     conformal_vector,
-    engine_levels,
-    expand_pair,  # noqa: F401  (perfbench/test_perfbench.py checks its tracer rebinds it here)
+    expand_pair,
     intern_charge,
     same_charge,
     sugawara_l,
@@ -167,13 +166,14 @@ def left_entry(v: FockVector, w: FockVector, k: int, n: int, l: int) -> FockVect
 @lru_cache(maxsize=1 << 18)
 def _left_entry_cached(v, w, k, n, l):
     # every exponent s of the weights is at most k + l, so the engine
-    # levels it reads, sum(nu) + sum(mu) + s, are filled
+    # levels it reads, sum(nu) + sum(mu) + s, are filled (or negative,
+    # and absent)
     out: dict = {}
     for nu, cv in v.terms.items():
         weights = _residue_weights(k, n, l, l + sum(nu))
         for mu, cw in w.terms.items():
             base = sum(nu) + sum(mu)
-            levels = engine_levels(nu, ALGEBRA_CHARGE, mu, w.charge, base + k + l)
+            levels = expand_pair(nu, ALGEBRA_CHARGE, mu, w.charge, base + k + l)
             c_pair = cv * cw
             for s, c in weights.items():
                 got = levels.get(base + s)
@@ -411,13 +411,11 @@ def diamond_left(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
     return _diamond(a, b, left_entry, b.charge)
 
 
-def diamond_wv(a: IndexedMatrix, b: IndexedMatrix,
-               form: str = "conjugated") -> IndexedMatrix:
+def diamond_wv(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
     """Right action: entries of b are algebra vectors."""
     if not same_charge(b.charge, ALGEBRA_CHARGE):
         raise ValueError("right factor must be a matrix over the algebra")
-    return _diamond(a, b, lambda w, v, k, n, l: right_entry(w, v, k, n, l, form),
-                    a.charge)
+    return _diamond(a, b, right_entry, a.charge)
 
 
 # ---------------------------------------------------------------------------

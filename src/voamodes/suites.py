@@ -174,8 +174,8 @@ class RunContext:
         return self._cert
 
     def module_probes(self) -> list:
-        """The module actions, read as intertwiners, that probe_equal applies."""
-        return [self.intertwiner(0, c) for c in self.cfg.charges]
+        """The modules' vertex operators, the intertwiners that probe_equal applies."""
+        return [self.module(c).vertex_operator for c in self.cfg.charges]
 
     def rng(self) -> random.Random:
         return random.Random(self.cfg.seed)

@@ -11,7 +11,7 @@ from voamodes.fock import (
     FockIntertwiner,
     FockModule,
     fock_norm,
-    pair_mode_terms,
+    mode_series,
     right_vertex_op,
     sigma,
 )
@@ -234,7 +234,9 @@ def pairing_dual_mode(M, v, n_index, wprime):
             for p in partitions_of(target):
                 for j, cj, terms in chain:
                     for nu, cu in terms.items():
-                        image = pair_mode_terms(nu, Q(0), p, M.lam, j + n + 1 - 2 * h)
+                        # the (2h-j-n-2)-th mode of a(-nu)|0>, of level h - j,
+                        # takes a(-p)|lam> to level lev_p
+                        image = expand_pair(nu, 0, p, M.lam, lev_p)[lev_p]
                         val = sum(c * image[q] for q, c in paired.items() if q in image)
                         if val:
                             coords[p] = coords.get(p, 0) + cj * cu * val / fock_norm(p)
@@ -370,63 +372,41 @@ def test_mode_truncation():
     assert Y.mode(Q(3, 2), w1, w2).is_zero()
 
 
-def _warm(clear, nu, lam1, mu, lam2, warm):
-    """Put one pair's cache entry in a state: None cold, ("range", n) after
-    expand_pair up to level n, ("single", levels) after one fill per level.
-
-    Returns the warmed entry (None when cold), for the caller to check
-    that its reads went through that entry."""
-    clear()
-    if warm is None:
-        return None
-    kind, arg = warm
-    key = heisenberg.expand_key(nu, lam1, mu, lam2)
-    if kind == "range":
-        expand_pair(nu, lam1, mu, lam2, arg)
-        return heisenberg._EXPAND_CACHE[key]
-    entry = heisenberg._EXPAND_CACHE.setdefault(
-        key, (heisenberg._annihilation_stage(nu, lam1, mu, lam2), {}))
-    for level in arg:
-        heisenberg._fill_levels(entry, lam1.numerator, lam1.denominator, [level])
-    return entry
-
-
-def _assert_read_through(entry, nu, lam1, mu, lam2):
-    """The pair has one cache entry, and it is the warmed one when warmed."""
-    assert len(heisenberg._EXPAND_CACHE) == 1
-    if entry is not None:
-        assert heisenberg._EXPAND_CACHE[heisenberg.expand_key(nu, lam1, mu, lam2)] is entry
-
-
-def test_pair_mode_terms_matches_expand_pair_in_every_cache_state(clear_engine_caches):
-    # public reads only ever extend the computed levels from 0 up, so the
-    # states with gaps (levels 2, 7 and 11 alone; level 12 alone) are made
-    # by single-level fills; every read after them fills around the gaps
+def test_engine_reads_match_cold_in_every_cache_state(clear_engine_caches):
+    # a read fills an entry's missing levels from the first one up, so an
+    # entry is absent or filled from 0 to some level; each reader must give
+    # its cold result however far the entry is filled, and so must read no
+    # level above its own request
     cases = [((2, 1), Q(1, 2), (3, 1), Q(-1)), ((1,), Q(0), (2, 2), Q(1)),
              ((), Q(1), (1, 1), Q(1, 2)), ((1, 1), Q(0), (), Q(0))]
-    states = [None, ("range", 5), ("single", (2, 7, 11)), ("single", (12,))]
     for nu, lam1, mu, lam2 in cases:
         base = sum(nu) + sum(mu)
+        v, w = {nu: 1}, {mu: 1}
+        module = FockModule(lam2, level_cap=16)
+        reads = [(("expand_pair", level), lambda level=level: {
+                     lev: terms for lev, terms in
+                     expand_pair(nu, lam1, mu, lam2, level).items() if lev <= level})
+                 for level in range(13)]
+        reads += [(("mode_series", t_hi), lambda t_hi=t_hi: mode_series(
+                      v, lam1, w, lam2, t_hi)) for t_hi in range(-base - 1, 13 - base)]
+        if lam1 == 0:
+            reads += [(("theta", k), lambda k=k: module.theta(
+                          k, sum(mu), FockVector.basis(0, nu), FockVector.basis(lam2, mu)))
+                      for k in range(13)]
+        cold = {}
+        for what, read in reads:
+            clear_engine_caches()
+            cold[what] = read()
+            clear_engine_caches()
+            expand_pair(nu, lam1, mu, lam2, 5)
+            assert read() == cold[what], (nu, lam1, mu, lam2, what, 5)
+        # no read goes above 16, so the entry stays as filled here
         clear_engine_caches()
-        want = expand_pair(nu, lam1, mu, lam2, 12)
-        for warm in states:
-            for level in range(-1, 13):
-                t = level - base
-                entry = _warm(clear_engine_caches, nu, lam1, mu, lam2, warm)
-                got = pair_mode_terms(nu, lam1, mu, lam2, t)
-                assert got == want.get(t, {}), (nu, lam1, mu, lam2, level, warm)
-                if level >= 0:
-                    _assert_read_through(entry, nu, lam1, mu, lam2)
-            # range reads over the gaps, then everything from the cache
-            entry = _warm(clear_engine_caches, nu, lam1, mu, lam2, warm)
-            for top in (9, 4, 12):
-                got = expand_pair(nu, lam1, mu, lam2, top)
-                assert got == {t: v for t, v in want.items() if base + t <= top}, \
-                    (nu, lam1, mu, lam2, top, warm)
-                _assert_read_through(entry, nu, lam1, mu, lam2)
-            for level in range(13):
-                assert pair_mode_terms(nu, lam1, mu, lam2, level - base) == \
-                    want.get(level - base, {}), (nu, lam1, mu, lam2, level, warm)
+        levels = expand_pair(nu, lam1, mu, lam2, 16)
+        for what, read in reads:
+            assert read() == cold[what], (nu, lam1, mu, lam2, what, 16)
+        assert list(levels) == list(range(17))
+        assert len(heisenberg._EXPAND_CACHE) == 1
 
 
 def test_contragredient_grading(m_half):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from voamodes import heisenberg
 from voamodes.errors import NonHomogeneous, TruncationOverflow
-from voamodes.fock import FockIntertwiner, FockModule, pair_mode_terms
+from voamodes.fock import FockIntertwiner, FockModule
 from voamodes.heisenberg import (
     FockVector,
     _acc,
@@ -343,13 +343,15 @@ def _assert_engine_matches_oracle(nu, lam1, mu, lam2, max_level):
     base = sum(nu) + sum(mu)
     key = heisenberg.expand_key(nu, lam1, mu, lam2)
     heisenberg._EXPAND_CACHE.pop(key, None)
-    got = expand_pair(nu, lam1, mu, lam2, max_level)
+    levels = expand_pair(nu, lam1, mu, lam2, max_level)
+    assert list(levels) == list(range(max_level + 1)), key
+    got = {lev - base: terms for lev, terms in levels.items() if terms}
     assert got == want, key
     assert all(_canonical_coeff(c) for terms in got.values() for c in terms.values())
     heisenberg._EXPAND_CACHE.pop(key)
     for level in (lev for lev in READ_ORDER if lev <= max_level):
-        t = level - base
-        assert pair_mode_terms(nu, lam1, mu, lam2, t) == want.get(t, {}), (key, level)
+        got = expand_pair(nu, lam1, mu, lam2, level)[level]
+        assert got == want.get(level - base, {}), (key, level)
 
 
 def _canonical_coeff(c):
@@ -389,11 +391,17 @@ def test_expansions_independent_of_cache_state_and_order(clear_engine_caches):
 
     def sweep(order):
         clear_engine_caches()
-        return {(i, lev): expand_pair(nu, lam1, mu, lam2, sum(nu) + sum(mu) + lev)
-                for lev in order for i, (nu, lam1, mu, lam2) in enumerate(pairs)}
+        out = {}
+        for lev in order:
+            for i, (nu, lam1, mu, lam2) in enumerate(pairs):
+                top = sum(nu) + sum(mu) + lev
+                got = expand_pair(nu, lam1, mu, lam2, top)
+                out[(i, lev)] = {level: got[level] for level in range(top + 1)}
+        # every entry's levels run contiguously from 0
+        for _, got in heisenberg._EXPAND_CACHE.values():
+            assert list(got) == list(range(len(got)))
+        return out
 
     ascending = sweep(levels)
     descending = sweep(reversed(levels))
     assert ascending == descending
-    for (i, lev), got in ascending.items():
-        assert max(got, default=-1) <= lev

@@ -16,7 +16,6 @@ from voamodes.heisenberg import (
 from voamodes.matrices import (
     IndexedMatrix,
     diamond_left,
-    diamond_wv,
     first_nonzero_image,
     identity_n,
     jacobi_kernel_element,
@@ -114,12 +113,8 @@ def test_right_unit():
     for form in ("conjugated", "direct", "right-op"):
         for n in range(3):
             for l in range(3):
-                wm = IndexedMatrix.single(w, 0, n)
-                um = IndexedMatrix.single(ONE, n, l)
-                got = diamond_wv(wm, um, form=form)
-                want = (IndexedMatrix.single(w, 0, l) if n == l
-                        else IndexedMatrix.zero(w.charge))
-                assert got == want, (form, n, l)
+                got = right_entry(w, ONE, 0, n, l, form)
+                assert got == (w if n == l else M.zero()), (form, n, l)
 
 
 def test_three_forms_agree():
@@ -452,6 +447,8 @@ def _half_table():
 @pytest.mark.parametrize("call", [
     lambda: FockModule(Q(1)).theta(1, 0, _CHARGED, FockVector.basis(Q(1), ())),
     lambda: FockModule(Q(1)).theta_dual(1, 0, _CHARGED, FockVector.basis(Q(1), ())),
+    lambda: FockModule(Q(1)).mode(_CHARGED, 0, FockVector.basis(Q(1), ())),
+    lambda: FockModule(Q(1)).mode(ONE, 0, _HALF),
     lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="conjugated"),
     lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="direct"),
     lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="right-op"),
@@ -474,7 +471,8 @@ def _half_table():
         0, 3, FockVector.basis(Q(1), ()), _HALF),
     lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
         0, 3, _HALF, FockVector.basis(Q(1), ())),
-], ids=["module-theta", "module-theta-dual", "right-entry-conjugated",
+], ids=["module-theta", "module-theta-dual", "module-mode-v", "module-mode-w",
+        "right-entry-conjugated",
         "right-entry-direct", "right-entry-right-op", "intertwiner-theta-w1",
         "intertwiner-theta-w2", "module-theta-dual-wprime", "intertwiner-series",
         "table-value", "algebra-vertex-series", "module-theta-v-off-level",
