@@ -125,8 +125,8 @@ def _output_error(path, reason) -> bool:
 def _writable(path) -> bool:
     """Whether path (None or '-' = stdout) can be opened for writing.
 
-    Checked before any work; it creates nothing, so a run stopped later
-    leaves no file.  Other write errors surface in _write_file.
+    Checked before any work, and it creates nothing.  Other write errors
+    surface in _write_file.
     """
     if path is None or path == "-":
         return True
@@ -196,9 +196,7 @@ def cmd_tables(args) -> int:
     path = args.csv if args.csv is not None else args.json
     if not _writable(path):
         return EXIT_CONFIG
-    # every entry is computed before the output is opened, so a truncation
-    # overflow leaves no partial file; only the formatting is streamed
-    rows = _table_rows(list(_table_entries(cfg, args.target)))
+    rows = _table_rows(_table_entries(cfg, args.target))
     if args.csv is not None:
         def write(fh):
             writer = csv.writer(fh)

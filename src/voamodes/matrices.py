@@ -8,9 +8,11 @@ middle index n is the residue of
 
 with T the Taylor polynomial in x^-1 of order k+l+1 (so its inner sum
 runs to m = n).  The right action replaces the last factor by
-Y((1+x)^{-L(0)} v, -x(1+x)^{-1}) w and (1+x)^l by (1+x)^k.  It is
-evaluated three ways, kept as separate code paths so their agreement is
-a real check.  On the t-th mode of Y_W(v_h, .) w (h = wt v_h):
+Y((1+x)^{-L(0)} v, -x(1+x)^{-1}) w and (1+x)^l by (1+x)^k.
+`right_entry` evaluates it in the conjugated form; the direct and
+right-op forms are oracles, separate code paths called by name where
+they are compared, so their agreement is a real check.  On the t-th mode
+of Y_W(v_h, .) w (h = wt v_h):
 
     direct       multiplies the two scalar series (1+x)^{-h} and
                  z^t = (-1)^t x^t (1+x)^{-t} (z = -x(1+x)^{-1}) out as a
@@ -279,7 +281,9 @@ def right_entry_conjugated(w: FockVector, v: FockVector, k: int, n: int,
 
 def right_entry_direct(w: FockVector, v: FockVector, k: int, n: int,
                        l: int) -> FockVector:
-    """Right action entry via Y_W((1+x)^{-L(0)} v, -x(1+x)^{-1}) w."""
+    """Right action entry via Y_W((1+x)^{-L(0)} v, -x(1+x)^{-1}) w; an oracle."""
+    if not same_charge(v.charge, ALGEBRA_CHARGE):
+        raise ValueError("right factor must be an algebra vector")
     return _residue_against(_direct_series(w, v, k + l), w.charge, k, n, l)
 
 
@@ -309,10 +313,12 @@ def _direct_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
 
 def right_entry_right_op(w: FockVector, v: FockVector, k: int, n: int,
                          l: int) -> FockVector:
-    """Right action entry via the right vertex operator:
+    """Right action entry via the right vertex operator; an oracle:
 
     Res_x T (1+x)^k (1+x)^{-(L(-1)+L(0))} Y_{WV}((1+x)^{L(0)} w, x) v.
     """
+    if not same_charge(v.charge, ALGEBRA_CHARGE):
+        raise ValueError("right factor must be an algebra vector")
     return _residue_against(_right_op_series(w, v, k + l), w.charge, k, n, l)
 
 
@@ -368,22 +374,16 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     return {s: terms for s, acc in sums.items() if (terms := acc.canonical())}
 
 
-@lru_cache(maxsize=1 << 18)
-def _right_entry_cached(w, v, k, n, l, form):
-    if form == "conjugated":
-        return right_entry_conjugated(w, v, k, n, l)
-    if form == "direct":
-        return right_entry_direct(w, v, k, n, l)
-    return right_entry_right_op(w, v, k, n, l)
-
-
-def right_entry(w: FockVector, v: FockVector, k: int, n: int, l: int,
-                form: str = "conjugated") -> FockVector:
-    if form not in ("conjugated", "direct", "right-op"):
-        raise ValueError(f"unknown right-action form {form!r}")
+def right_entry(w: FockVector, v: FockVector, k: int, n: int, l: int) -> FockVector:
+    """Right action entry in the conjugated form, memoized."""
     if not same_charge(v.charge, ALGEBRA_CHARGE):
         raise ValueError("right factor must be an algebra vector")
-    return _right_entry_cached(w, v, k, n, l, form)
+    return _right_entry_cached(w, v, k, n, l)
+
+
+@lru_cache(maxsize=1 << 18)
+def _right_entry_cached(w, v, k, n, l):
+    return right_entry_conjugated(w, v, k, n, l)
 
 
 # ---------------------------------------------------------------------------
@@ -490,24 +490,18 @@ def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
 # opposite-algebra map
 
 
-def opposite_map(mat: IndexedMatrix, sign: str = "plus") -> IndexedMatrix:
-    """Transpose indices and send entries v to +-e^{L(1)} (-1)^{L(0)} v.
+def opposite_map(mat: IndexedMatrix) -> IndexedMatrix:
+    """Transpose indices and send entries v to e^{L(1)} (-1)^{L(0)} v.
 
-    The two sign conventions are both exposed; exactly one of them
-    satisfies the adjoint pairing identity against the contragredient
-    action, and the verification suite calibrates which.
+    The one sign that satisfies the adjoint pairing identity against the
+    contragredient action; the `opposite` suite checks that the identity
+    holds for this map and fails for its negative.
     """
     if not same_charge(mat.charge, ALGEBRA_CHARGE):
         raise ValueError("the opposite map acts on matrices over the algebra")
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
-    factor = Q(1) if sign == "plus" else Q(-1)
-    out: dict = {}
-    for (k, l), vec in mat.entries.items():
-        key = (l, k)
-        piece = _exp_l1_parity(vec).scale(factor)
-        out[key] = out[key] + piece if key in out else piece
-    return IndexedMatrix(0, out)
+    # the images are cached and shared, so each entry gets its own copy
+    return IndexedMatrix(0, {(l, k): _exp_l1_parity(vec).scale(1)
+                             for (k, l), vec in mat.entries.items()})
 
 
 @lru_cache(maxsize=1 << 10)

@@ -34,6 +34,8 @@ from voamodes.matrices import (
     opposite_map,
     probe_equal,
     right_entry,
+    right_entry_direct,
+    right_entry_right_op,
 )
 
 HALF = intern_charge(Q(1, 2))
@@ -99,8 +101,8 @@ def test_equal_but_distinct_charges_pass_every_check(clear_caches):
             right_vertex_op(M, w, v, -3, 1),
             f.value(1, 1, hw1, w2),
             left_entry(v, w, 1, 1, 2),
-            *(right_entry(w, v, 2, 1, 1, form)
-              for form in ("conjugated", "direct", "right-op")),
+            *(entry(w, v, 2, 1, 1)
+              for entry in (right_entry, right_entry_direct, right_entry_right_op)),
             IndexedMatrix(HALF, {(1, 2): w}), a + a, b + IndexedMatrix.single(w, 1, 2),
             diamond_left(a, b), diamond_wv(b, IndexedMatrix.single(v, 2, 1)),
             jacobi_kernel_element(M, 1, 1, 1, 0, v, w),

@@ -14,7 +14,6 @@ from voamodes import cli, matrices, suites
 from voamodes.cli import TABLE_COLUMNS, _dump_json, _write_table_json, main
 from voamodes.errors import TruncationOverflow
 from voamodes.fock import FockModule
-from voamodes.matrices import right_entry
 from voamodes.suites import (
     SUITE_NAMES,
     ConfigError,
@@ -290,24 +289,13 @@ def test_tables_builds_each_series_once(tmp_path, monkeypatch, clear_caches):
     assert Counter(builds) == Counter(pairs)
 
 
-def test_tables_truncation_leaves_no_file(tmp_path, monkeypatch, capsys):
-    # an overflow in the last of the 2 * 4 * 27 right entries (two algebra
-    # vectors, four module vectors, the (k, n, l) grid) still exits 3
-    # before the output is opened
-    calls = []
-
-    def last_fails(*args):
-        calls.append(args)
-        if len(calls) == 2 * 4 * 27:
-            raise TruncationOverflow("level above cap")
-        return right_entry(*args)
-
-    monkeypatch.setattr(cli, "right_entry", last_fails)
+def test_tables_check_no_level_cap(tmp_path):
+    # residue entries are exact and uncapped: the windows reach k + l = 8,
+    # past L_max = 4, and still no entry overflows
     out = tmp_path / "t.json"
-    assert main(["tables", "--target", "bimodule", "--N", "2", "--max-v-weight",
-                 "1", "--charges=1/2", "--lmax", "4", "--json", str(out)]) == 3
-    assert "truncation overflow" in _assert_one_line_error(capsys)
-    assert not out.exists()
+    assert main(["tables", "--target", "bimodule", "--N", "4", "--lmax", "4",
+                 "--max-v-weight", "1", "--charges=1/2", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["rows"]
 
 
 def test_intertwiner_command(tmp_path):
@@ -546,6 +534,20 @@ def test_exit_code_map(argv, patch, code, prefix, capsys, monkeypatch):
         monkeypatch.setattr(cli, patch, _overflow)
     assert main(argv) == code
     assert _assert_one_line_error(capsys).startswith(prefix)
+
+
+@pytest.mark.parametrize("suite, name, broken", [
+    ("three-forms", "right_entry_direct",
+     lambda *args: matrices.right_entry_direct(*args).scale(2)),
+    ("opposite", "opposite_map",
+     lambda *args: matrices.opposite_map(*args).scale(-1)),
+], ids=["three-forms-oracle", "opposite-sign"])
+def test_suites_fail_on_a_wrong_map(suite, name, broken, monkeypatch, capsys):
+    # a wrong oracle entry, or the opposite map with the other sign, fails
+    # its suite; the suite does not adopt the wrong sign
+    monkeypatch.setattr(suites, name, broken)
+    assert main(["verify", "--N", "1", "--suite", suite]) == 1
+    assert f"{suite:<20} FAIL" in capsys.readouterr().out
 
 
 def test_other_errors_keep_their_traceback(monkeypatch):

@@ -25,6 +25,8 @@ from voamodes.matrices import (
     opposite_map,
     probe_equal,
     right_entry,
+    right_entry_direct,
+    right_entry_right_op,
 )
 from voamodes.series import gen_binomial
 
@@ -33,6 +35,11 @@ ONE = vacuum()
 OM = conformal_vector()
 A1 = FockVector.basis(0, (1,))
 CHARGES = (Q(0), Q(1, 2), Q(1))
+
+
+# the right action and its two oracles, by the name of their form
+RIGHT_FORMS = {"conjugated": right_entry, "direct": right_entry_direct,
+               "right-op": right_entry_right_op}
 
 
 def module_probes():
@@ -110,10 +117,10 @@ def test_right_unit():
     # residue, not out of index matching
     M = FockModule(Q(1, 2), level_cap=8)
     w = M.basis(2)[0]
-    for form in ("conjugated", "direct", "right-op"):
+    for form, entry in RIGHT_FORMS.items():
         for n in range(3):
             for l in range(3):
-                got = right_entry(w, ONE, 0, n, l, form)
+                got = entry(w, ONE, 0, n, l)
                 assert got == (w if n == l else M.zero()), (form, n, l)
 
 
@@ -127,9 +134,9 @@ def test_three_forms_agree():
         w = rng.choice(pools[lam])
         v = rng.choice(vs)
         k, n, l = rng.randrange(3), rng.randrange(3), rng.randrange(3)
-        a = right_entry(w, v, k, n, l, "conjugated")
-        b = right_entry(w, v, k, n, l, "direct")
-        c = right_entry(w, v, k, n, l, "right-op")
+        a = right_entry(w, v, k, n, l)
+        b = right_entry_direct(w, v, k, n, l)
+        c = right_entry_right_op(w, v, k, n, l)
         assert a == b == c, (lam, w, v, k, n, l)
 
 
@@ -247,23 +254,25 @@ def test_omega_specializations():
 def test_opposite_map_fixed_points():
     for k in range(3):
         for l in range(3):
-            got = opposite_map(IndexedMatrix.single(ONE, k, l), "plus")
+            got = opposite_map(IndexedMatrix.single(ONE, k, l))
             assert got == IndexedMatrix.single(ONE, l, k)
-            got = opposite_map(IndexedMatrix.single(OM, k, l), "minus")
-            assert got == IndexedMatrix.single(OM.scale(-1), l, k)
+            got = opposite_map(IndexedMatrix.single(OM, k, l))
+            assert got == IndexedMatrix.single(OM, l, k)
     with pytest.raises(ValueError):
-        opposite_map(identity_n(1), "both")
+        opposite_map(IndexedMatrix.single(FockVector.basis(Q(1, 2), ()), 0, 0))
 
 
 def test_opposite_adjoint_calibration():
     M = FockModule(Q(1, 2), level_cap=6)
     verdict = {}
-    for sign in ("plus", "minus"):
+    signed = {"plus": opposite_map,
+              "minus": lambda mat: opposite_map(mat).scale(-1)}
+    for sign, opposite in signed.items():
         ok = True
         for v in [A1, OM, FockVector.basis(0, (2, 1))]:
             for k in range(2):
                 for l in range(2):
-                    omat = opposite_map(IndexedMatrix.single(v, k, l), sign)
+                    omat = opposite(IndexedMatrix.single(v, k, l))
                     for w in M.omega0_basis(2):
                         for wp in M.omega0_basis(2):
                             lhs = M.inner(M.theta_dual(k, l, v, wp), w)
@@ -282,8 +291,8 @@ def test_opposite_anti_homomorphism():
     for _ in range(30):
         a = IndexedMatrix.single(rng.choice(vs), rng.randrange(3), rng.randrange(3))
         b = IndexedMatrix.single(rng.choice(vs), rng.randrange(3), rng.randrange(3))
-        lhs = opposite_map(diamond_left(a, b), "plus")
-        rhs = diamond_left(opposite_map(b, "plus"), opposite_map(a, "plus"))
+        lhs = opposite_map(diamond_left(a, b))
+        rhs = diamond_left(opposite_map(b), opposite_map(a))
         assert probe_equal(lhs, rhs, probes)
 
 
@@ -449,9 +458,9 @@ def _half_table():
     lambda: FockModule(Q(1)).theta_dual(1, 0, _CHARGED, FockVector.basis(Q(1), ())),
     lambda: FockModule(Q(1)).mode(_CHARGED, 0, FockVector.basis(Q(1), ())),
     lambda: FockModule(Q(1)).mode(ONE, 0, _HALF),
-    lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="conjugated"),
-    lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="direct"),
-    lambda: right_entry(_HALF, _CHARGED, 1, 0, 0, form="right-op"),
+    lambda: right_entry(_HALF, _CHARGED, 1, 0, 0),
+    lambda: right_entry_direct(_HALF, _CHARGED, 1, 0, 0),
+    lambda: right_entry_right_op(_HALF, _CHARGED, 1, 0, 0),
     lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
         1, 0, FockVector.basis(Q(1), (1,)), _HALF),
     lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
@@ -548,11 +557,11 @@ def test_results_are_canonical_and_own_their_terms():
             _assert_canonical(left_entry(v, w, kk, nn, ll))
             series = _conjugated_series(w, v, kk + ll).values()
             _assert_canonical(right_entry(w, v, kk, nn, ll), series)
-        for form in ("direct", "right-op"):
+        for oracle in (right_entry_direct, right_entry_right_op):
             series = [*_conjugated_series(w, v, k + l).values(),
                       *_direct_series(w, v, k + l).values(),
                       *_right_op_series(w, v, k + l).values()]
-            _assert_canonical(right_entry(w, v, k, n, l, form), series)
+            _assert_canonical(oracle(w, v, k, n, l), series)
         # the kernel element reads memoized modes, the opposite map a
         # memoized image per entry; the results own their terms
         v_top = v.level_component(max(v.levels(), default=0))
@@ -561,9 +570,8 @@ def test_results_are_canonical_and_own_their_terms():
             modes = [_module_mode(M.lam, M.level_cap, v_top, i, w).terms
                      for i in range(m, m + 8)]
             _assert_canonical(km.entry(k, l + m), modes)
-        for sign in ("plus", "minus"):
-            flipped = opposite_map(IndexedMatrix.single(v, k, l), sign).entry(l, k)
-            _assert_canonical(flipped, [_exp_l1_parity(v).terms])
+        flipped = opposite_map(IndexedMatrix.single(v, k, l)).entry(l, k)
+        _assert_canonical(flipped, [_exp_l1_parity(v).terms])
 
     check()
     # basis vectors with coefficient 1: one engine read per value, the
@@ -623,10 +631,10 @@ def _right_entry_grid(order):
     vs = [A1, ONE.scale(Q(1, 2)) + A1 + OM]
     kls = sorted(((k, l) for k in range(5) for l in range(5) if k + l <= 4),
                  key=lambda kl: sum(kl), reverse=(order == "descending"))
-    return {(i, j, k, n, l, form): right_entry(w, v, k, n, l, form)
+    return {(i, j, k, n, l, form): entry(w, v, k, n, l)
             for k, l in kls for n in range(3)
             for i, w in enumerate(ws) for j, v in enumerate(vs)
-            for form in ("conjugated", "direct", "right-op")}
+            for form, entry in RIGHT_FORMS.items()}
 
 
 def test_right_entries_independent_of_cache_state_and_order(clear_caches):
@@ -655,7 +663,7 @@ def _right_entry_grid_point(i, j, k, n, l, form):
     M = FockModule(Q(1, 2), level_cap=8)
     ws = [M.highest(), M.basis(1)[0] + M.highest().scale(-2)]
     vs = [A1, ONE.scale(Q(1, 2)) + A1 + OM]
-    return right_entry(ws[i], vs[j], k, n, l, form)
+    return RIGHT_FORMS[form](ws[i], vs[j], k, n, l)
 
 
 def test_series_cache_keeps_the_longest_series(clear_caches):
