@@ -254,8 +254,8 @@ class SuiteReport:
 def jacobi_points(f: MapTable, v_list, w1_list, kmax: int, p_lo: int, p_hi: int):
     """Yield (holds, detail) per grid point of the coefficient-extracted Jacobi identity.
 
-    For every grid point (k, l, n <= kmax; p in [p_lo, p_hi]; homogeneous v;
-    w1 from w1_list; w2 over the level-(l+p) basis):
+    For every grid point (k, l, n <= kmax; p in [p_lo, p_hi] with l + p >= 0;
+    homogeneous v; w1 from w1_list; w2 over the level-(l+p) basis):
 
       sum_j (-1)^j C(p,j) theta3(k, n+p-j, v, f(n+p-j, l+p, w1, w2))
       = sum_j (-1)^(p-j) C(p,j) f(k, q_j, w1, theta2(q_j, l+p, v, w2))
@@ -287,9 +287,7 @@ def jacobi_points(f: MapTable, v_list, w1_list, kmax: int, p_lo: int, p_hi: int)
             for k in range(kmax + 1):
                 for l in range(kmax + 1):
                     for n in range(kmax + 1):
-                        for p in range(p_lo, p_hi + 1):
-                            if l + p < 0:
-                                continue
+                        for p in range(max(p_lo, -l), p_hi + 1):
                             for w2 in W2.basis(l + p):
                                 yield _jacobi_point(f, W1, W2, W3, memo, v, hv,
                                                     w1, lev1, w2, k, l, n, p)

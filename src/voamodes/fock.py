@@ -12,21 +12,15 @@ The evaluation maps turn doubly indexed matrices into operators:
                            residue of x^(l-k-1) Y(x^L(0) v, x) w  -- lands
                            in level k;
     theta of intertwiner   same with the exponent shifted by the lowest
-                           weights of source and target.
+                           weights of source and target;
+    theta_dual(k, l, v, w') the one evaluation map of the contragredient W'
+                           (Frenkel-Huang-Lepowsky 1993): theta(k, l, sigma v, w').
 
 A module W = F(q) acts through its vertex operator Y_W, which is the
 intertwiner of type (W; V W) (Frenkel-Huang-Lepowsky 1993):
 FockModule(q).mode and .theta are those of FockIntertwiner(0, q), its
 `vertex_operator`.  The algebra V is F(0) as a module over itself, so
 its vertex operator is FockIntertwiner(0, 0).
-
-The contragredient module is realized on the same partition basis via
-the pairing with a(n)* = a(-n) and <|q>,|q>> = 1.  There the current
-acts as a'(n) = -a(n), so Y'(v, x) = Y(sigma v, x), where sigma is the
-automorphism a -> -a of V (it multiplies a(-nu)|0> by (-1)^len(nu) and
-fixes the conformal vector; Frenkel-Huang-Lepowsky 1993 for
-contragredient modules, Frenkel-Lepowsky-Meurman 1988 for the
-automorphism).
 """
 
 from __future__ import annotations
@@ -121,7 +115,7 @@ def fock_norm(partition: tuple) -> int:
 
 
 def sigma(v: FockVector) -> FockVector:
-    """The automorphism a -> -a of V: a(-nu)|0> goes to (-1)^len(nu) a(-nu)|0>."""
+    """The automorphism a -> -a of V (Frenkel-Lepowsky-Meurman 1988): (-1)^len(nu) on a(-nu)|0>."""
     return _trusted_vector(v.charge, {nu: -c if len(nu) % 2 else c
                                       for nu, c in v.terms.items()})
 
@@ -202,34 +196,14 @@ class FockModule:
                 total += c * other * fock_norm(p)
         return total
 
-    def dual_mode(self, v: FockVector, n_index, wprime: FockVector) -> FockVector:
-        """Mode of the contragredient vertex operator on W' (same basis).
-
-        Defined by <Y'(v,x)w', w> = <w', Y(e^{xL(1)}(-x^-2)^{L(0)} v, x^-1) w>.
-        Under the pairing a(n)* = a(-n) the current's contragredient mode
-        is a'(n) = -a(n), so W' is W twisted by the automorphism a -> -a
-        of V, which fixes the conformal vector: Y'(v, x) = Y(sigma v, x)
-        with sigma(a(-nu)|0>) = (-1)^len(nu) a(-nu)|0>.  The result lands
-        at lev(w') + wt v - n - 1; it, or a level of w', above the cap
-        raises TruncationOverflow, except where the result level is
-        negative and the mode is zero.
-        """
-        if not same_charge(v.charge, ALGEBRA_CHARGE):
-            raise ValueError("contragredient modes take algebra vectors")
-        if not same_charge(wprime.charge, self.lam):
-            raise ValueError("vector does not belong to this module")
-        n_index = rat(n_index)
-        if n_index.denominator != 1:
-            return self.zero()
-        if v.terms and wprime.terms:
-            # mode() checks the result level only
-            top = max(map(sum, wprime.terms))
-            if top > self.level_cap and top + max(map(sum, v.terms)) - int(n_index) > 0:
-                raise TruncationOverflow(f"contragredient mode level {top} exceeds cap")
-        return self.mode(sigma(v), n_index, wprime)
-
     def theta_dual(self, k: int, l: int, v: FockVector, wprime: FockVector) -> FockVector:
-        """The residue map on the contragredient module: theta(k, l, sigma v, w')."""
+        """The evaluation map of W', theta(k, l, sigma v, w'): level l -> level k.
+
+        W' has <Y'(v,x)w', w> = <w', Y(e^{xL(1)}(-x^-2)^{L(0)} v, x^-1) w>, so
+        it is W twisted by sigma: a'(n) = -a(n), and sigma fixes the conformal
+        vector.  On v of weight h this is the mode of index h + l - k - 1, zero
+        for k < 0.  Above the cap, k or a level l of w' that v meets raises.
+        """
         if not same_charge(v.charge, ALGEBRA_CHARGE):
             raise ValueError("contragredient modes take algebra vectors")
         if not same_charge(wprime.charge, self.lam):

@@ -375,9 +375,7 @@ def suite_kernel(ctx: RunContext) -> SuiteReport:
                 for k in idx:
                     for l in idx:
                         for n in idx:
-                            for p in range(p_lo, p_hi + 1):
-                                if l + p < 0:
-                                    continue
+                            for p in range(max(p_lo, -l), p_hi + 1):
                                 km = jacobi_kernel_element(W1, k, l, n, p, v, w)
                                 bad = first_nonzero_image(Y, km)
                                 rep.record(bad is None, lambda: _render(

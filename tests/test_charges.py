@@ -65,7 +65,7 @@ def test_equal_charge_values_share_one_object():
         IndexedMatrix(Q(1, 2)).charge, IndexedMatrix.single(w, 1, 2).charge,
         # results
         M.theta(2, 2, OM, w).charge, M.mode(OM, 1, w).charge,
-        M.dual_mode(OM, 1, w).charge, M.theta_dual(2, 2, OM, w).charge,
+        M.theta_dual(2, 2, OM, w).charge,
         X.theta(1, 0, X.source.highest(), X.right_input.highest()).charge,
         X.mode(-1, X.source.highest(), X.right_input.highest()).charge,
         f.value(1, 1, f.source.highest(), f.right_input.basis(1)[0]).charge,
@@ -94,8 +94,7 @@ def test_equal_but_distinct_charges_pass_every_check(clear_caches):
         b = IndexedMatrix.single(w, 1, 2)
         return [
             w + w2, w2 + w, w - w2, w == w2,
-            M.mode(v, 1, w), M.theta(2, 2, v, w), M.dual_mode(v, 1, w),
-            M.theta_dual(2, 2, v, w),
+            M.mode(v, 1, w), M.theta(2, 2, v, w), M.theta_dual(2, 2, v, w),
             Y.mode(Q(-5, 4), hw1, w2), Y.theta(2, 1, hw1, w2),
             Y.series(hw1, w2, Q(-1, 4), Q(7, 4)),
             right_vertex_op(M, w, v, -3, 1),

@@ -80,6 +80,24 @@ def test_config_file(tmp_path):
     assert json.loads(out.read_text())["config"]["N"] == 0
 
 
+def test_wide_p_window_sweeps_only_recorded_points(tmp_path):
+    # p below -l records nothing, so a window reaching far below zero
+    # runs the same cases as p_window = 0, 0 and in the same time
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    counts = {}
+    for lo in (-1_000_000_000, 0):
+        cfgfile, out = tmp_path / f"{lo}.cfg", tmp_path / f"{lo}.json"
+        cfgfile.write_text(f"p_window = {lo}, 0\n")
+        subprocess.run([sys.executable, "-m", "voamodes.cli", "verify", "--N", "0",
+                        "--suite", "kernel", "--suite", "jacobi-cert",
+                        "--config", str(cfgfile), "--json", str(out)],
+                       env=env, capture_output=True, check=True, timeout=30)
+        counts[lo] = {row["suite"]: row["cases_run"]
+                      for row in json.loads(out.read_text())["suites"]}
+    assert counts[-1_000_000_000] == counts[0]
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 3\n")

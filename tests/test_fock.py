@@ -2,8 +2,6 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from voamodes import heisenberg
 from voamodes.errors import TruncationOverflow
@@ -104,13 +102,14 @@ def test_inner_product(m_half):
 
 def test_contragredient_current_mode(m_half):
     # e^{xL(1)}(-x^-2)^{L(0)} a(-1)|0> = -x^-2 a(-1)|0>, so the dual mode
-    # of the current is -a(q) under the pairing a(n)* = a(-n)
+    # of the current is -a(q) under the pairing a(n)* = a(-n); on w' of
+    # level l, theta_dual(l - q, l, a(-1)|0>, w') is that mode of index q
     from voamodes.heisenberg import _insert_part, apply_annihilator
 
     for lev in range(4):
         for wp in m_half.basis(lev):
             for q in range(-2, 3):
-                got = m_half.dual_mode(A1, q, wp)
+                got = m_half.theta_dual(lev - q, lev, A1, wp)
                 if q > 0:
                     want = FockVector(m_half.lam,
                                       apply_annihilator(q, wp.terms)).scale(-1)
@@ -123,25 +122,26 @@ def test_contragredient_current_mode(m_half):
 
 
 def test_contragredient_vacuum_identity(m_half):
-    # Y'(1, x) is the identity: only the -1 mode survives
+    # Y'(1, x) is the identity: only the -1 mode survives, and on w' of
+    # level l the mode of index n is theta_dual(l - n - 1, l, 1, w')
     for lev in range(3):
         for wp in m_half.basis(lev):
-            assert m_half.dual_mode(ONE, -1, wp) == wp
-            for n in (-3, -2, 0, 1, 2):
-                assert m_half.dual_mode(ONE, n, wp).is_zero()
             assert m_half.theta_dual(lev, lev, ONE, wp) == wp
+            for n in (-3, -2, 0, 1, 2):
+                assert m_half.theta_dual(lev - n - 1, lev, ONE, wp).is_zero()
 
 
 def test_contragredient_pairing_duality(m_half):
     # <Y'(v,x)w', w> = <w', Y(e^{xL(1)}(-x^-2)^{L(0)} v, x^-1) w>, checked
-    # mode by mode through the expansion sum_j (-1)^h/j! (Y)_{2h-j-n-2}(L(1)^j v)
+    # mode by mode through the expansion sum_j (-1)^h/j! (Y)_{2h-j-n-2}(L(1)^j v);
+    # the dual mode of index n takes w' of level l to level l + h - n - 1
     for v in [A1, OM, FockVector.basis(0, (2, 1))]:
         h = int(weight_of(v))
         for lev_p in range(3):
             for wp in m_half.basis(lev_p):
                 for n in range(-2, 3):
-                    lhs_vec = m_half.dual_mode(v, n, wp)
                     target = lev_p + h - n - 1
+                    lhs_vec = m_half.theta_dual(target, lev_p, v, wp)
                     if target < 0:
                         assert lhs_vec.is_zero()
                         continue
@@ -157,58 +157,9 @@ def test_contragredient_pairing_duality(m_half):
                         assert m_half.inner(lhs_vec, w) == rhs
 
 
-def per_partition_dual_mode(M, v, n_index, wprime):
-    """Contragredient mode one target basis vector at a time: for every
-    partition p of the target level, the whole module mode image of a(-p)
-    paired with w' through `inner`, over the norm of a(-p)."""
-    n = int(n_index)
-    out = M.zero()
-    for h in v.levels():
-        v_h = v.level_component(h)
-        sign = Q(-1) if h % 2 else Q(1)
-        for lev_p in wprime.levels():
-            wp = wprime.level_component(lev_p)
-            target = lev_p + h - n - 1
-            if target < 0:
-                continue
-            coords = {}
-            u = v_h
-            for j in range(0, h + 1):
-                if u.is_zero():
-                    break
-                cj = sign / factorial(j)
-                for p in partitions_of(target):
-                    b = FockVector.basis(M.lam, p)
-                    val = M.inner(wp, M.mode(u, 2 * h - j - n - 2, b))
-                    if val != 0:
-                        coords[p] = coords.get(p, Q(0)) + cj * val / fock_norm(p)
-                u = sugawara_l(1, u)
-            out = out + FockVector(M.lam, coords)
-    return out
-
-
-def _vectors(charge, max_level=3):
-    parts = [p for n in range(max_level + 1) for p in partitions_of(n)]
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    return st.dictionaries(st.sampled_from(parts), coeff, max_size=3).map(
-        lambda d: FockVector(charge, d))
-
-
-@pytest.mark.parametrize("lam", [Q(1, 2), Q(1)])
-def test_dual_mode_matches_per_partition_oracle(lam):
-    M = FockModule(lam, level_cap=8)
-
-    @settings(deadline=None, max_examples=40)
-    @given(_vectors(0), st.integers(-3, 3), _vectors(lam))
-    def check(v, n, wprime):
-        assert M.dual_mode(v, n, wprime) == per_partition_dual_mode(M, v, n, wprime)
-
-    check()
-
-
 def pairing_dual_mode(M, v, n_index, wprime):
-    """Contragredient mode read off the engine terms (the pairing loop that
-    computed `dual_mode` before the sigma twist): the a(-p) coordinate pairs
+    """Contragredient mode read off the engine terms, without the sigma
+    twist that `theta_dual` applies: the a(-p) coordinate pairs
     the norm-weighted w' with the image of a(-p) under the (2h-j-n-2)-th
     mode of L(1)^j v_h, weighted (-1)^h / j!, over <a(-p), a(-p)>.  A
     target level or a w' level above the cap raises, whenever the target
@@ -282,25 +233,6 @@ def _dual_grid_inputs(lam, cap):
 
 @pytest.mark.parametrize("cap", (2, 8))
 @pytest.mark.parametrize("lam", DUAL_GRID_CHARGES, ids=str)
-def test_dual_mode_matches_pairing_oracles_on_grid(lam, cap):
-    # 5 charges x 8 v x 8 w' x 7 n = 2,240 cases per cap; at cap 2 the
-    # w' of level 3 lies above the cap, and both forms must raise alike
-    M, vs, ws = _dual_grid_inputs(lam, cap)
-    raised = 0
-    for v in vs:
-        for wp in ws:
-            for n in range(-3, 4):
-                got = _outcome(M.dual_mode, v, n, wp)
-                assert got == _outcome(pairing_dual_mode, M, v, n, wp), (v, n, wp)
-                if got is TruncationOverflow:
-                    raised += 1
-                else:
-                    assert got == per_partition_dual_mode(M, v, n, wp), (v, n, wp)
-    assert (raised > 0) == (cap == 2)
-
-
-@pytest.mark.parametrize("cap", (2, 8))
-@pytest.mark.parametrize("lam", DUAL_GRID_CHARGES, ids=str)
 def test_theta_dual_matches_pairing_oracle_on_grid(lam, cap):
     M, vs, ws = _dual_grid_inputs(lam, cap)
     for v in vs:
@@ -342,14 +274,14 @@ def test_sigma_is_an_automorphism_of_v():
 
 
 def test_dual_mode_truncation():
-    # the images of the modes land at the level of w', the result at
-    # lev_p + wt v - n - 1; either above the cap raises
+    # the images of the modes land at the level l of w', the result at
+    # k = l + wt v - n - 1 for the mode of index n; either above the cap raises
     M = FockModule(Q(1, 2), level_cap=3)
     with pytest.raises(TruncationOverflow):
-        M.dual_mode(OM, 3, M.basis(4)[0])
+        M.theta_dual(2, 4, OM, M.basis(4)[0])       # n = 3
     with pytest.raises(TruncationOverflow):
-        M.dual_mode(OM, -1, M.basis(2)[0])
-    assert M.dual_mode(OM, 0, M.basis(2)[0]).levels() in ([], [3])
+        M.theta_dual(4, 2, OM, M.basis(2)[0])       # n = -1
+    assert M.theta_dual(3, 2, OM, M.basis(2)[0]).levels() == [3]     # n = 0
 
 
 def test_mode_truncation():
@@ -410,11 +342,11 @@ def test_engine_reads_match_cold_in_every_cache_state(clear_engine_caches):
 
 
 def test_contragredient_grading(m_half):
-    # the dual mode with index n moves levels by wt v - n - 1
-    got = m_half.dual_mode(OM, 0, m_half.basis(1)[0])
-    assert got.levels() in ([], [2])
-    got = m_half.theta_dual(2, 1, OM, m_half.basis(1)[0])
-    assert got.levels() in ([], [2])
+    # the dual mode with index n moves levels by wt v - n - 1: the mode
+    # of index 0 of the conformal vector is theta_dual(l + 1, l, ...)
+    for lev in range(3):
+        for wp in m_half.basis(lev):
+            assert m_half.theta_dual(lev + 1, lev, OM, wp).levels() == [lev + 1]
 
 
 def test_intertwiner_leading_terms():
