@@ -259,12 +259,13 @@ def _table_rows(entries):
     """
     parts: dict = {}
     for action, charge, k, n, l, left, right, entry in entries:
+        coeffs = entry.terms
         terms = []
-        for p, c in sorted(entry.terms.items()):
+        for p in sorted(coeffs):
             result = parts.get(p)
             if result is None:
                 result = parts[p] = _partition_str(p)
-            terms.append((result, str(c)))
+            terms.append((result, str(coeffs[p])))
         if terms:
             yield (action, charge, k, n, l, left, right, terms)
 

@@ -210,6 +210,8 @@ def yf_series(f: MapTable, w1: FockVector, w2: FockVector) -> dict:
 class SuiteReport:
     """Outcome of a sweep: exact counts plus the first failure as recorded.
 
+    A suite compares each case through `check`, which names its sub-check
+    and renders the first failure; `record` takes a ready detail instead.
     A certifier's report can be absorbed into a suite's; the failure
     detail (a string or structured data) is rendered with str() only in
     the report row.
@@ -230,6 +232,19 @@ class SuiteReport:
             self.passed += 1
         elif self.first_failure is None:
             self.first_failure = detail() if callable(detail) else detail
+
+    def check(self, name: str, ok: bool, lhs, rhs, /, **where) -> None:
+        """Count one compared case of sub-check `name`, found at `where`.
+
+        The first failure reads "name at k=..., ...: lhs=... rhs=...", with
+        the `where` items in call order, each value and side by repr().
+        """
+        self.cases += 1
+        if ok:
+            self.passed += 1
+        elif self.first_failure is None:
+            at = ", ".join(f"{key}={value!r}" for key, value in where.items())
+            self.first_failure = f"{name} at {at}: lhs={lhs!r} rhs={rhs!r}"
 
     def absorb(self, other: "SuiteReport") -> None:
         self.cases += other.cases

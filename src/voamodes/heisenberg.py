@@ -75,8 +75,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from .errors import NonHomogeneous
 from .series import _quotient, rat, rat_str
@@ -320,33 +319,45 @@ def _current_step(terms: dict, ni: int, p2: int, q2: int) -> dict:
 def _annihilation_stage(nu: tuple, lam1: Fraction, mu: tuple, lam2: Fraction) -> tuple:
     """(scale, {pending: {partition: coeff}}): everything but creation.
 
-    Applies the annihilation exponential, then each subset of the currents'
-    annihilation halves (`_current_step`), and groups the integer rows by
-    the currents left pending for the creation stage; every group is
-    lifted to the common scale q2^r.  A subset extends its prefix, kept
-    from the round of the next smaller size, by its last current, so
-    each subset costs one step.  The rows do not depend on the level: the
-    x-exponent of a term is fixed by its level.
+    Applies the annihilation exponential, then the currents' annihilation
+    halves (`_current_step`), and groups the integer rows by the currents
+    left pending for the creation stage; every group is lifted to the
+    common scale q2^r.  The halves commute and depend only on the part
+    size n_j, so every subset of the currents that takes t_j of the m_j
+    currents of size n_j gives the same rows: the stage walks the count
+    vectors t, prod(m_j + 1) of them rather than 2^r subsets, and weights
+    each by its prod C(m_j, t_j) subsets.  A count vector extends its
+    prefix, kept from the round of the next smaller total, by one current
+    of its last size, so each costs one step.  The rows do not depend on
+    the level: the x-exponent of a term is fixed by its level.
     """
     p1, q1 = lam1.numerator, lam1.denominator
     p2, q2 = lam2.numerator, lam2.denominator
     r = len(nu)
+    sizes = sorted(set(nu), reverse=True)
+    counts = [nu.count(n) for n in sizes]
     if p1:
         scale, start = _apply_exp_annihilation(mu, p1, q1)
     else:
         scale, start = 1, {mu: 1}
     by_pending: dict = {}
-    rows = {EMPTY: start}       # subset of the currents -> its rows
-    for take in range(r + 1):
-        if take:
-            rows = {right: _current_step(rows[right[:-1]], nu[right[-1]], p2, q2)
-                    for right in combinations(range(r), take) if rows.get(right[:-1])}
-        for right, terms in rows.items():
-            if not terms:
-                continue
-            pending = tuple(sorted((nu[i] for i in range(r) if i not in right),
-                                   reverse=True))
-            _add_into(by_pending.setdefault(pending, {}), terms, q2 ** (r - take))
+    # (currents taken per size, index of the last size taken, nonzero rows)
+    rows = [((0,) * len(sizes), 0, start)]
+    while rows:
+        longer = []
+        for taken, last, terms in rows:
+            pending = tuple(n for n, m, t in zip(sizes, counts, taken)
+                            for _ in range(m - t))
+            weight = prod(comb(m, t) for m, t in zip(counts, taken))
+            _add_into(by_pending.setdefault(pending, {}), terms,
+                      weight * q2 ** len(pending))
+            for j in range(last, len(sizes)):
+                if taken[j] < counts[j]:
+                    step = _current_step(terms, sizes[j], p2, q2)
+                    if step:
+                        longer.append(
+                            (taken[:j] + (taken[j] + 1,) + taken[j + 1:], j, step))
+        rows = longer
     return scale * q2 ** r, {pending: terms for pending, terms in by_pending.items()
                              if terms}
 

@@ -209,10 +209,8 @@ def suite_homomorphism(ctx: RunContext) -> SuiteReport:
                                 if mid is None:
                                     mid = inner[key] = M.theta(n, l, v, w)
                                 rhs = M.theta(k, n, u, mid)
-                                rep.record(lhs == rhs, lambda: _render(
-                                    "homomorphism", dict(k=k, n=n, l=l, u=u,
-                                                         v=v, w=w, module=M),
-                                    lhs, rhs))
+                                rep.check("homomorphism", lhs == rhs, lhs, rhs,
+                                          k=k, n=n, l=l, u=u, v=v, w=w, module=M)
     rng = ctx.rng()
     probes = ctx.module_probes()
     for _ in range(10):
@@ -224,8 +222,8 @@ def suite_homomorphism(ctx: RunContext) -> SuiteReport:
                                  rng.randrange(cfg.n + 1))
         lhs = diamond_left(diamond_left(a, b), c)
         rhs = diamond_left(a, diamond_left(b, c))
-        rep.record(probe_equal(lhs, rhs, probes),
-                   lambda: _render("associativity", dict(a=a, b=b, c=c), lhs, rhs))
+        rep.check("associativity", probe_equal(lhs, rhs, probes), lhs, rhs,
+                  a=a, b=b, c=c)
     return rep
 
 
@@ -242,21 +240,18 @@ def suite_unit(ctx: RunContext) -> SuiteReport:
             img = M.zero()
             for (k, l), entry in ident.entries.items():
                 img = img + M.theta(k, l, entry, w)
-            rep.record(img == w, lambda: _render(
-                "identity acts as id", dict(module=M, w=w), img, w))
+            rep.check("identity acts as id", img == w, img, w, module=M, w=w)
     for v in ctx.v_basis:
         for n in range(cfg.n + 1):
             for l in range(cfg.n + 1):
                 got = left_entry(one, v, n, n, l)
-                rep.record(got == v, lambda: _render(
-                    "[1]_{nn}.[v]_{nl}", dict(n=n, l=l, v=v), got, v))
+                rep.check("[1]_{nn}.[v]_{nl}", got == v, got, v, n=n, l=l, v=v)
     for k in range(cfg.n + 1):
         for l in range(cfg.n + 1):
             lhs = IndexedMatrix.single(one, k, l)
             rhs = IndexedMatrix.single(one, l, l) if k == l else \
                 IndexedMatrix.zero(0)
-            rep.record(probe_equal(lhs, rhs, probes), lambda: _render(
-                "unit coset", dict(k=k, l=l), lhs, rhs))
+            rep.check("unit coset", probe_equal(lhs, rhs, probes), lhs, rhs, k=k, l=l)
     # unit element under the probe family, random single entries
     rng = ctx.rng()
     ident = identity_n(cfg.n)
@@ -266,7 +261,7 @@ def suite_unit(ctx: RunContext) -> SuiteReport:
         left = diamond_left(ident, a)
         right = diamond_left(a, ident)
         ok = probe_equal(left, a, probes) and probe_equal(right, a, probes)
-        rep.record(ok, lambda: _render("unit element", dict(a=a), left, right))
+        rep.check("unit element", ok, left, right, a=a)
     # the module action, read as an intertwiner, evaluates like the module
     for c in cfg.charges:
         M = ctx.module(c)
@@ -277,9 +272,8 @@ def suite_unit(ctx: RunContext) -> SuiteReport:
                     for w in M.omega0_basis(cfg.n):
                         a = Y0.theta(k, l, v, w)
                         b = M.theta(k, l, v, w)
-                        rep.record(a == b, lambda: _render(
-                            "action-as-intertwiner", dict(k=k, l=l, v=v, w=w),
-                            a, b))
+                        rep.check("action-as-intertwiner", a == b, a, b,
+                                  k=k, l=l, v=v, w=w)
     return rep
 
 
@@ -314,19 +308,15 @@ def suite_bimodule(ctx: RunContext) -> SuiteReport:
                                 if mid is None:
                                     mid = y_inner[(wi, n, l, mu)] = Y.theta(n, l, w1, w2)
                                 rhs = W3.theta(k, n, v, mid)
-                                rep.record(lhs == rhs, lambda: _render(
-                                    "left action", dict(Y=Y, k=k, n=n, l=l,
-                                                        v=v, w1=w1, w2=w2),
-                                    lhs, rhs))
+                                rep.check("left action", lhs == rhs, lhs, rhs,
+                                          Y=Y, k=k, n=n, l=l, v=v, w1=w1, w2=w2)
                                 lhs = Y.theta(k, l, right, w2)
                                 mid = w2_inner.get((vi, n, l, mu))
                                 if mid is None:
                                     mid = w2_inner[(vi, n, l, mu)] = W2.theta(n, l, v, w2)
                                 rhs = Y.theta(k, n, w1, mid)
-                                rep.record(lhs == rhs, lambda: _render(
-                                    "right action", dict(Y=Y, k=k, n=n, l=l,
-                                                         v=v, w1=w1, w2=w2),
-                                    lhs, rhs))
+                                rep.check("right action", lhs == rhs, lhs, rhs,
+                                          Y=Y, k=k, n=n, l=l, v=v, w1=w1, w2=w2)
     return rep
 
 
@@ -356,8 +346,7 @@ def suite_three_forms(ctx: RunContext) -> SuiteReport:
         a = right_entry(w, v, k, n, l)
         b = right_entry_direct(w, v, k, n, l)
         c_ = right_entry_right_op(w, v, k, n, l)
-        rep.record(a == b == c_, lambda: _render(
-            "three forms", dict(k=k, n=n, l=l, v=v, w=w), a, (b, c_)))
+        rep.check("three forms", a == b == c_, a, (b, c_), k=k, n=n, l=l, v=v, w=w)
     return rep
 
 
@@ -378,9 +367,8 @@ def suite_kernel(ctx: RunContext) -> SuiteReport:
                             for p in range(max(p_lo, -l), p_hi + 1):
                                 km = jacobi_kernel_element(W1, k, l, n, p, v, w)
                                 bad = first_nonzero_image(Y, km)
-                                rep.record(bad is None, lambda: _render(
-                                    "kernel", dict(Y=Y, k=k, l=l, n=n, p=p,
-                                                   v=v, w=w), bad, 0))
+                                rep.check("kernel", bad is None, bad, 0,
+                                          Y=Y, k=k, l=l, n=n, p=p, v=v, w=w)
     return rep
 
 
@@ -401,26 +389,24 @@ def suite_omega_commutators(ctx: RunContext) -> SuiteReport:
                     direct = (left_entry(om, w, n, n, l)
                               - right_entry(w, om, n, l, l)
                               - (sugawara_l(-1, w) + l_zero(w)))
-                    rep.record(km.entry(n, l) == direct, lambda: _render(
-                        "omega diagonal", dict(module=M, n=n, l=l, w=w),
-                        km.entry(n, l), direct))
+                    entry = km.entry(n, l)
+                    rep.check("omega diagonal", entry == direct, entry, direct,
+                              module=M, n=n, l=l, w=w)
                     bad = first_nonzero_image(Y, km)
-                    rep.record(bad is None, lambda: _render(
-                        "omega diagonal kernel", dict(module=M, n=n, l=l, w=w),
-                        bad, 0))
+                    rep.check("omega diagonal kernel", bad is None, bad, 0,
+                              module=M, n=n, l=l, w=w)
                     # subdiagonal: [om]_{n+1,n}.[w]_{nl} - [w]_{n+1,l+1}.[om]_{l+1,l}
                     #              = [L(-1) w]_{n+1,l}
                     km = jacobi_kernel_element(M, n + 1, l, n, 0, om, w)
                     direct = (left_entry(om, w, n + 1, n, l)
                               - right_entry(w, om, n + 1, l + 1, l)
                               - sugawara_l(-1, w))
-                    rep.record(km.entry(n + 1, l) == direct, lambda: _render(
-                        "omega subdiagonal", dict(module=M, n=n, l=l, w=w),
-                        km.entry(n + 1, l), direct))
+                    entry = km.entry(n + 1, l)
+                    rep.check("omega subdiagonal", entry == direct, entry, direct,
+                              module=M, n=n, l=l, w=w)
                     bad = first_nonzero_image(Y, km)
-                    rep.record(bad is None, lambda: _render(
-                        "omega subdiagonal kernel", dict(module=M, n=n, l=l, w=w),
-                        bad, 0))
+                    rep.check("omega subdiagonal kernel", bad is None, bad, 0,
+                              module=M, n=n, l=l, w=w)
         # single-entry matrices agree with the banded matrices (the band
         # has one entry with a matching middle index)
         for k in range(cfg.n + 1):
@@ -429,17 +415,15 @@ def suite_omega_commutators(ctx: RunContext) -> SuiteReport:
                     wm = IndexedMatrix.single(w, k, l)
                     a = diamond_left(IndexedMatrix.single(om, k, k), wm)
                     b = diamond_left(omega0_n(cfg.n + 1), wm)
-                    rep.record(a == b, lambda: _render(
-                        "omega0 band", dict(module=M, k=k, l=l, w=w), a, b))
+                    rep.check("omega0 band", a == b, a, b, module=M, k=k, l=l, w=w)
                     a = diamond_wv(wm, IndexedMatrix.single(om, l, l))
                     b = diamond_wv(wm, omega0_n(cfg.n + 1))
-                    rep.record(a == b, lambda: _render(
-                        "omega0 right band", dict(module=M, k=k, l=l, w=w), a, b))
+                    rep.check("omega0 right band", a == b, a, b,
+                              module=M, k=k, l=l, w=w)
                     wm1 = IndexedMatrix.single(w, k, l + 1)
                     a = diamond_wv(wm1, IndexedMatrix.single(om, l + 1, l))
                     b = diamond_wv(wm1, omega1_n(cfg.n + 1))
-                    rep.record(a == b, lambda: _render(
-                        "omega1 band", dict(module=M, k=k, l=l, w=w), a, b))
+                    rep.check("omega1 band", a == b, a, b, module=M, k=k, l=l, w=w)
     return rep
 
 
@@ -454,8 +438,7 @@ def suite_binomial_218(ctx: RunContext) -> SuiteReport:
                     total = sum(gen_binomial(a, m) * gen_binomial(a - m, q - m)
                                 * (-1) ** (q - m) for m in range(q + 1))
                     want = Q(1) if q == 0 else Q(0)
-                    rep.record(total == want, lambda: _render(
-                        "binomial", dict(k=k, l=l, n=n, q=q), total, want))
+                    rep.check("binomial", total == want, total, want, k=k, l=l, n=n, q=q)
     return rep
 
 
@@ -480,9 +463,8 @@ def suite_conjugation(ctx: RunContext) -> SuiteReport:
                     m = wt1 + wt2 - (Y.target.h + r) - 1
                     direct = Y.mode(m, w1, w2)
                     recovered = at_one.level_component(r)
-                    rep.record(direct == recovered, lambda: _render(
-                        "conjugation", dict(Y=Y, w1=w1, w2=w2, level=r),
-                        direct, recovered))
+                    rep.check("conjugation", direct == recovered, direct, recovered,
+                              Y=Y, w1=w1, w2=w2, level=r)
     return rep
 
 
@@ -516,8 +498,8 @@ def suite_exp_l(ctx: RunContext) -> SuiteReport:
                     coeff = Q(gen_binomial(hw, d - a), fact[a])
                     if coeff != 0:
                         rhs = rhs + powers[a].scale(coeff)
-                rep.record(lhs_terms[d] == rhs, lambda: _render(
-                    "exp-L", dict(module=M, w=w, degree=d), lhs_terms[d], rhs))
+                rep.check("exp-L", lhs_terms[d] == rhs, lhs_terms[d], rhs,
+                          module=M, w=w, degree=d)
     return rep
 
 
@@ -542,9 +524,7 @@ def suite_roundtrip(ctx: RunContext) -> SuiteReport:
                 while e <= hi:
                     a = ser_f.get(e) or Y.target.zero()
                     b = ser_y.get(e) or Y.target.zero()
-                    rep.record(a == b, lambda: _render(
-                        "series round trip", dict(w1=w1, w2=w2, exponent=e),
-                        a, b))
+                    rep.check("series round trip", a == b, a, b, w1=w1, w2=w2, exponent=e)
                     e += 1
     # zero and scaled tables
     zero = f.zeros_like()
@@ -606,8 +586,8 @@ def suite_opposite(ctx: RunContext) -> SuiteReport:
         b = IndexedMatrix.single(v, n, l)
         lhs = opposite_map(diamond_left(a, b))
         rhs = diamond_left(opposite_map(b), opposite_map(a))
-        rep.record(probe_equal(lhs, rhs, probes), lambda: _render(
-            "anti-homomorphism", dict(u=u, v=v, k=k, n=n, l=l), lhs, rhs))
+        rep.check("anti-homomorphism", probe_equal(lhs, rhs, probes), lhs, rhs,
+                  u=u, v=v, k=k, n=n, l=l)
     return rep
 
 
@@ -675,6 +655,9 @@ def run_suites(cfg: RunConfig, echo=None):
     Each report is passed to echo, when given, as its suite ends.
     """
     ctx = RunContext(cfg)
+    # kernel evaluates on module levels l + p up to N + p_hi
+    if "kernel" in cfg.suites and cfg.n + max(cfg.p_window[1], 0) > cfg.l_max:
+        raise TruncationOverflow("kernel grid needs levels beyond L_max")
     if "jacobi-cert" in cfg.suites or "L1-cert" in cfg.suites:
         ctx.cert_table()  # surface truncation problems before any suite runs
     reports = []
@@ -686,8 +669,3 @@ def run_suites(cfg: RunConfig, echo=None):
         if echo is not None:
             echo(report)
     return reports
-
-
-def _render(name: str, where: dict, lhs, rhs) -> str:
-    ctxbits = ", ".join(f"{k}={v!r}" for k, v in where.items())
-    return f"{name} at {ctxbits}: lhs={lhs!r} rhs={rhs!r}"

@@ -98,6 +98,22 @@ def test_wide_p_window_sweeps_only_recorded_points(tmp_path):
     assert counts[-1_000_000_000] == counts[0]
 
 
+def test_kernel_window_above_lmax_is_a_truncation_overflow(tmp_path):
+    # kernel reads module levels up to N + p_hi, so p_hi = 20 at N = 0 is
+    # refused before any suite runs, as jacobi-cert refuses it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text("p_window = 0, 20\n")
+    got = subprocess.run([sys.executable, "-m", "voamodes.cli", "verify", "--N", "0",
+                          "--suite", "kernel", "--config", str(cfgfile)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert got.returncode == 3
+    assert got.stdout == ""
+    assert got.stderr.startswith("truncation overflow: ")
+    assert "Traceback" not in got.stderr
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 3\n")
@@ -354,15 +370,17 @@ def test_full_run_at_smaller_scale(tmp_path):
 
 
 def test_results_independent_of_suite_order(clear_caches):
-    # every suite at N=1, each order starting from empty caches
-    def rows(order):
+    # every suite at N=1, each order starting from empty caches, and the
+    # forward order once more with every cache emptied as each suite ends
+    def rows(order, echo=None):
         clear_caches()
         cfg = RunConfig(n=1, suites=tuple(order)).validate()
-        return {r.suite: r.row() for r in run_suites(cfg)}
+        return {r.suite: r.row() for r in run_suites(cfg, echo=echo)}
 
     forward = rows(SUITE_NAMES)
     assert list(forward) == list(SUITE_NAMES)
     assert rows(reversed(SUITE_NAMES)) == forward
+    assert rows(SUITE_NAMES, echo=lambda report: clear_caches()) == forward
 
 
 def test_clear_caches_empties_every_cache(clear_caches):
@@ -554,18 +572,28 @@ def test_exit_code_map(argv, patch, code, prefix, capsys, monkeypatch):
     assert _assert_one_line_error(capsys).startswith(prefix)
 
 
-@pytest.mark.parametrize("suite, name, broken", [
+@pytest.mark.parametrize("suite, name, broken, first", [
     ("three-forms", "right_entry_direct",
-     lambda *args: matrices.right_entry_direct(*args).scale(2)),
+     lambda *args: matrices.right_entry_direct(*args).scale(2),
+     "three forms at k=1, n=0, l=0, v=FockVector(0; 1*a[]), w=FockVector(0; 1*a[]):"
+     " lhs=FockVector(0; 1*a[]) rhs=(FockVector(0; 2*a[]), FockVector(0; 1*a[]))"),
     ("opposite", "opposite_map",
-     lambda *args: matrices.opposite_map(*args).scale(-1)),
-], ids=["three-forms-oracle", "opposite-sign"])
-def test_suites_fail_on_a_wrong_map(suite, name, broken, monkeypatch, capsys):
-    # a wrong oracle entry, or the opposite map with the other sign, fails
-    # its suite; the suite does not adopt the wrong sign
+     lambda *args: matrices.opposite_map(*args).scale(-1),
+     "adjoint identity held for the map: False, for its negative: True"),
+    ("unit", "left_entry",
+     lambda *args: matrices.left_entry(*args).scale(2),
+     "[1]_{nn}.[v]_{nl} at n=0, l=0, v=FockVector(0; 1*a[]):"
+     " lhs=FockVector(0; 2*a[]) rhs=FockVector(0; 1*a[])"),
+], ids=["three-forms-oracle", "opposite-sign", "unit-left-entry"])
+def test_suites_fail_on_a_wrong_map(suite, name, broken, first, monkeypatch, capsys):
+    # a wrong oracle entry, the opposite map with the other sign, or a
+    # doubled left entry fails its suite, which names the sub-check and
+    # the case in its first failure; the suite does not adopt the wrong sign
     monkeypatch.setattr(suites, name, broken)
     assert main(["verify", "--N", "1", "--suite", suite]) == 1
-    assert f"{suite:<20} FAIL" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{suite:<20} FAIL")
+    assert lines[1:] == [f"  first failure: {first}"]
 
 
 def test_other_errors_keep_their_traceback(monkeypatch):
