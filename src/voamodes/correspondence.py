@@ -10,7 +10,9 @@ the table entries as the modes of a reconstructed operator and
 assembles its series.
 Certification checks the residue-level Jacobi identity and the
 L(-1)-derivative property of the reconstruction directly on the table,
-and the round trip lands back on the table entry by entry.
+and the round trip lands back on the table entry by entry.  The
+certifiers, like the suites, count every case through
+`SuiteReport.check` under a named sub-check.
 """
 
 from __future__ import annotations
@@ -208,66 +210,68 @@ def yf_series(f: MapTable, w1: FockVector, w2: FockVector) -> dict:
 
 
 class SuiteReport:
-    """Outcome of a sweep: exact counts plus the first failure as recorded.
+    """Outcome of a sweep: exact counts plus the first failure.
 
-    A suite compares each case through `check`, which names its sub-check
-    and renders the first failure; `record` takes a ready detail instead.
-    A certifier's report can be absorbed into a suite's; the failure
-    detail (a string or structured data) is rendered with str() only in
-    the report row.
+    Every suite and certifier counts each compared case through `check`,
+    which names its sub-check.  The first failure is kept as data,
+    `failure = (name, where, lhs, rhs)`, and `first_failure` renders it.
+    A certifier's report can be absorbed into a suite's.
     """
 
-    __slots__ = ("suite", "cases", "passed", "first_failure", "wall_ms")
+    __slots__ = ("suite", "cases", "passed", "failure", "wall_ms")
 
     def __init__(self, suite: str):
         self.suite = suite
         self.cases = 0
         self.passed = 0
-        self.first_failure = None
+        self.failure = None
         self.wall_ms = 0.0
 
-    def record(self, ok: bool, detail) -> None:
-        self.cases += 1
-        if ok:
-            self.passed += 1
-        elif self.first_failure is None:
-            self.first_failure = detail() if callable(detail) else detail
-
     def check(self, name: str, ok: bool, lhs, rhs, /, **where) -> None:
-        """Count one compared case of sub-check `name`, found at `where`.
-
-        The first failure reads "name at k=..., ...: lhs=... rhs=...", with
-        the `where` items in call order, each value and side by repr().
-        """
+        """Count one compared case of sub-check `name`, found at `where`."""
         self.cases += 1
         if ok:
             self.passed += 1
-        elif self.first_failure is None:
+        elif self.failure is None:
+            self.failure = (name, where, lhs, rhs)
+
+    @property
+    def first_failure(self):
+        """The first failure as text, or None.
+
+        It reads "name at k=..., ...: lhs=... rhs=...", with the `where`
+        items in call order, each value and side by repr(); with no
+        `where`, "name: lhs=... rhs=...".
+        """
+        if self.failure is None:
+            return None
+        name, where, lhs, rhs = self.failure
+        if where:
             at = ", ".join(f"{key}={value!r}" for key, value in where.items())
-            self.first_failure = f"{name} at {at}: lhs={lhs!r} rhs={rhs!r}"
+            name = f"{name} at {at}"
+        return f"{name}: lhs={lhs!r} rhs={rhs!r}"
 
     def absorb(self, other: "SuiteReport") -> None:
         self.cases += other.cases
         self.passed += other.passed
-        if self.first_failure is None:
-            self.first_failure = other.first_failure
+        if self.failure is None:
+            self.failure = other.failure
 
     @property
     def ok(self) -> bool:
         return self.cases == self.passed
 
     def row(self) -> dict:
-        failure = self.first_failure
         return {
             "suite": self.suite,
             "cases_run": self.cases,
             "cases_passed": self.passed,
-            "first_failure": None if failure is None else str(failure),
+            "first_failure": self.first_failure,
         }
 
 
 def jacobi_points(f: MapTable, v_list, w1_list, kmax: int, p_lo: int, p_hi: int):
-    """Yield (holds, detail) per grid point of the coefficient-extracted Jacobi identity.
+    """Yield (lhs, rhs, where) per grid point of the coefficient-extracted Jacobi identity.
 
     For every grid point (k, l, n <= kmax; p in [p_lo, p_hi] with l + p >= 0;
     homogeneous v; w1 from w1_list; w2 over the level-(l+p) basis):
@@ -276,9 +280,9 @@ def jacobi_points(f: MapTable, v_list, w1_list, kmax: int, p_lo: int, p_hi: int)
       = sum_j (-1)^(p-j) C(p,j) f(k, q_j, w1, theta2(q_j, l+p, v, w2))
         + sum_j C(wt v + n - k - 1, j) f(k, l+p, (Y)_{p+j}(v) w1, w2)
 
-    with q_j = l-n+k+p-j and all sums index-guarded.  `detail()` renders
-    the point.  The points are computed as they are consumed, so a reader
-    looking for one failure stops at it.
+    with q_j = l-n+k+p-j and all sums index-guarded.  `where` names the
+    point by k, l, n, p, v, w1 and w2.  The points are computed as they
+    are consumed, so a reader looking for one failure stops at it.
 
     Each image in these sums depends on its own indices, not on the loops
     around it, so it is evaluated once per call: theta2(q, L, v, w2) per v,
@@ -312,8 +316,8 @@ def certify_jacobi(f: MapTable, v_list, w1_list, kmax: int, p_lo: int,
                    p_hi: int) -> SuiteReport:
     """Tally of `jacobi_points` over the whole grid."""
     report = SuiteReport("jacobi")
-    for holds, detail in jacobi_points(f, v_list, w1_list, kmax, p_lo, p_hi):
-        report.record(holds, detail)
+    for lhs, rhs, where in jacobi_points(f, v_list, w1_list, kmax, p_lo, p_hi):
+        report.check("jacobi", lhs == rhs, lhs, rhs, **where)
     return report
 
 
@@ -347,12 +351,8 @@ def _jacobi_point(f, W1, W2, W3, memo, v, hv, w1, lev1, w2, k, l, n, p):
             img = mode_images[(k, i, L, mu)] = (
                 f.value(k, L, y_i, w2).terms if y_i.terms else {})
         _add_into(rhs, img, c)
-    lhs = _trusted_vector(f.lam3, lhs)
-    rhs = _trusted_vector(f.lam3, rhs)
-    return lhs == rhs, lambda: {
-        "point": {"k": k, "l": l, "n": n, "p": p},
-        "v": repr(v), "w1": repr(w1), "w2": repr(w2),
-        "lhs": repr(lhs), "rhs": repr(rhs)}
+    return (_trusted_vector(f.lam3, lhs), _trusted_vector(f.lam3, rhs),
+            {"k": k, "l": l, "n": n, "p": p, "v": v, "w1": w1, "w2": w2})
 
 
 def certify_l1_derivative(f: MapTable, w1_list, w2_levels: int) -> SuiteReport:
@@ -373,10 +373,8 @@ def certify_l1_derivative(f: MapTable, w1_list, w2_levels: int) -> SuiteReport:
                     e = shift - l + k - wt1
                     lhs = f.value(k, l, w1, w2).scale(e)
                     rhs = f.value(k, l, lw1, w2)
-                    ok = lhs == rhs
-                    report.record(ok, lambda: {
-                        "point": {"k": k, "l": l}, "w1": repr(w1),
-                        "w2": repr(w2), "d/dx": repr(lhs), "shifted": repr(rhs)})
+                    report.check("L(-1) derivative", lhs == rhs, lhs, rhs,
+                                 k=k, l=l, w1=w1, w2=w2)
     return report
 
 
@@ -389,20 +387,19 @@ def roundtrip(f: MapTable) -> SuiteReport:
     """
     report = SuiteReport("roundtrip")
     shift = f.target.h - f.right_input.h
-    series: dict = {}  # (nu, mu) -> yf_series on the two basis vectors
+    series: dict = {}  # (nu, mu) -> the two basis vectors and their yf_series
     for key in f.sorted_keys():
         k, l, nu, mu = key
-        ser = series.get((nu, mu))
-        if ser is None:
-            ser = series[(nu, mu)] = yf_series(
-                f, FockVector.basis(f.lam1, nu), FockVector.basis(f.lam2, mu))
+        known = series.get((nu, mu))
+        if known is None:
+            w1, w2 = FockVector.basis(f.lam1, nu), FockVector.basis(f.lam2, mu)
+            known = series[(nu, mu)] = (w1, w2, yf_series(f, w1, w2))
+        w1, w2, ser = known
         wt1 = f.source.h + sum(nu)
         e = shift - l + k - wt1
         got = ser.get(e) or f.target.zero()
         expect = f.entries[key]
-        report.record(got == expect, lambda: {
-            "entry": {"k": k, "l": l, "w1": list(nu), "w2": list(mu)},
-            "reconstructed": repr(got), "stored": repr(expect)})
+        report.check("round trip", got == expect, got, expect, k=k, l=l, w1=w1, w2=w2)
     return report
 
 
@@ -477,8 +474,6 @@ def reachability_closure(module: FockModule, n: int, generators,
                         new_frontier.append(image)
         frontier = new_frontier
     for lev in range(cap + 1):
-        want = full[lev]
-        got = spans[lev].dim()
-        report.record(got == want, lambda: {
-            "level": lev, "reached": got, "basis": want})
+        got, want = spans[lev].dim(), full[lev]
+        report.check("reachability", got == want, got, want, level=lev)
     return report

@@ -1,9 +1,10 @@
 """Verification suites: every computable identity, exactly, at desk scale.
 
 Each suite sweeps a finite grid and compares both sides of one identity
-in exact rational arithmetic; a report carries the counts and the first
-discrepancy rendered in the partition basis.  Grids are deterministic
-given the configuration and seed.
+in exact rational arithmetic, counting each case through
+`SuiteReport.check` under a named sub-check; a report carries the counts
+and the first failure, rendered in the partition basis.  Grids are
+deterministic given the configuration and seed.
 """
 
 from __future__ import annotations
@@ -383,30 +384,23 @@ def suite_omega_commutators(ctx: RunContext) -> SuiteReport:
         for n in range(cfg.n + 1):
             for l in range(cfg.n + 1):
                 for w in M.omega0_basis(cfg.n):
-                    # diagonal: [om]_{nn}.[w]_{nl} - [w]_{nl}.[om]_{ll}
-                    #           = [(L(-1)+L(0)) w]_{nl}  modulo every kernel
-                    km = jacobi_kernel_element(M, n, l, n, 0, om, w)
-                    direct = (left_entry(om, w, n, n, l)
-                              - right_entry(w, om, n, l, l)
-                              - (sugawara_l(-1, w) + l_zero(w)))
-                    entry = km.entry(n, l)
-                    rep.check("omega diagonal", entry == direct, entry, direct,
-                              module=M, n=n, l=l, w=w)
-                    bad = first_nonzero_image(Y, km)
-                    rep.check("omega diagonal kernel", bad is None, bad, 0,
-                              module=M, n=n, l=l, w=w)
+                    lw = sugawara_l(-1, w)
+                    # diagonal:    [om]_{nn}.[w]_{nl} - [w]_{nl}.[om]_{ll}
+                    #              = [(L(-1)+L(0)) w]_{nl}
                     # subdiagonal: [om]_{n+1,n}.[w]_{nl} - [w]_{n+1,l+1}.[om]_{l+1,l}
                     #              = [L(-1) w]_{n+1,l}
-                    km = jacobi_kernel_element(M, n + 1, l, n, 0, om, w)
-                    direct = (left_entry(om, w, n + 1, n, l)
-                              - right_entry(w, om, n + 1, l + 1, l)
-                              - sugawara_l(-1, w))
-                    entry = km.entry(n + 1, l)
-                    rep.check("omega subdiagonal", entry == direct, entry, direct,
-                              module=M, n=n, l=l, w=w)
-                    bad = first_nonzero_image(Y, km)
-                    rep.check("omega subdiagonal kernel", bad is None, bad, 0,
-                              module=M, n=n, l=l, w=w)
+                    # each modulo every kernel
+                    for name, k, r, shifted in (("omega diagonal", n, l, lw + l_zero(w)),
+                                                ("omega subdiagonal", n + 1, l + 1, lw)):
+                        km = jacobi_kernel_element(M, k, l, n, 0, om, w)
+                        direct = (left_entry(om, w, k, n, l)
+                                  - right_entry(w, om, k, r, l) - shifted)
+                        entry = km.entry(k, l)
+                        rep.check(name, entry == direct, entry, direct,
+                                  module=M, n=n, l=l, w=w)
+                        bad = first_nonzero_image(Y, km)
+                        rep.check(f"{name} kernel", bad is None, bad, 0,
+                                  module=M, n=n, l=l, w=w)
         # single-entry matrices agree with the banded matrices (the band
         # has one entry with a matching middle index)
         for k in range(cfg.n + 1):
@@ -527,13 +521,13 @@ def suite_roundtrip(ctx: RunContext) -> SuiteReport:
                     rep.check("series round trip", a == b, a, b, w1=w1, w2=w2, exponent=e)
                     e += 1
     # zero and scaled tables
-    zero = f.zeros_like()
-    rep.record(roundtrip(zero).ok, "zero table round trip")
+    zero_ok = roundtrip(f.zeros_like()).ok
+    rep.check("zero table round trip", zero_ok, zero_ok, True)
     third = f.scale(Q(1, 3))
     rt = roundtrip(third)
     same = all(third.entries[key] == f.entries[key].scale(Q(1, 3))
                for key in f.sorted_keys())
-    rep.record(rt.ok and same, "scaled table round trip")
+    rep.check("scaled table round trip", rt.ok and same, (rt.ok, same), (True, True))
     return rep
 
 
@@ -550,9 +544,9 @@ def suite_jacobi_cert(ctx: RunContext) -> SuiteReport:
     bad = f.perturbed((0, 0, (), ()), f.target.highest())
     points = jacobi_points(bad, ctx.v_basis, w1_list, kmax=cfg.n,
                            p_lo=cfg.p_window[0], p_hi=cfg.p_window[1])
-    caught = (not all(holds for holds, _ in points)
+    caught = (not all(lhs == rhs for lhs, rhs, _ in points)
               or not certify_l1_derivative(bad, w1_list, w2_levels=cfg.n).ok)
-    rep.record(caught, "corrupted table escaped both certifiers")
+    rep.check("corrupted table caught", caught, caught, True)
     return rep
 
 
@@ -574,8 +568,8 @@ def suite_opposite(ctx: RunContext) -> SuiteReport:
     rep = SuiteReport("opposite")
     holds = _adjoint_holds(ctx, opposite_map)
     negated = _adjoint_holds(ctx, lambda mat: opposite_map(mat).scale(-1))
-    rep.record(holds and not negated, lambda: (
-        f"adjoint identity held for the map: {holds}, for its negative: {negated}"))
+    rep.check("adjoint identity (map, negative)", holds and not negated,
+              (holds, negated), (True, False))
     probes = ctx.module_probes()
     rng = ctx.rng()
     for _ in range(100):

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from voamodes import cli, matrices, suites
+from voamodes import cli, correspondence, heisenberg, matrices, suites
 from voamodes.cli import TABLE_COLUMNS, _dump_json, _write_table_json, main
 from voamodes.errors import TruncationOverflow
 from voamodes.fock import FockModule
@@ -572,28 +572,39 @@ def test_exit_code_map(argv, patch, code, prefix, capsys, monkeypatch):
     assert _assert_one_line_error(capsys).startswith(prefix)
 
 
-@pytest.mark.parametrize("suite, name, broken, first", [
-    ("three-forms", "right_entry_direct",
+@pytest.mark.parametrize("suite, module, name, broken, first", [
+    ("three-forms", suites, "right_entry_direct",
      lambda *args: matrices.right_entry_direct(*args).scale(2),
      "three forms at k=1, n=0, l=0, v=FockVector(0; 1*a[]), w=FockVector(0; 1*a[]):"
      " lhs=FockVector(0; 1*a[]) rhs=(FockVector(0; 2*a[]), FockVector(0; 1*a[]))"),
-    ("opposite", "opposite_map",
+    ("opposite", suites, "opposite_map",
      lambda *args: matrices.opposite_map(*args).scale(-1),
-     "adjoint identity held for the map: False, for its negative: True"),
-    ("unit", "left_entry",
+     "adjoint identity (map, negative): lhs=(False, True) rhs=(True, False)"),
+    ("unit", suites, "left_entry",
      lambda *args: matrices.left_entry(*args).scale(2),
      "[1]_{nn}.[v]_{nl} at n=0, l=0, v=FockVector(0; 1*a[]):"
      " lhs=FockVector(0; 2*a[]) rhs=FockVector(0; 1*a[])"),
-], ids=["three-forms-oracle", "opposite-sign", "unit-left-entry"])
-def test_suites_fail_on_a_wrong_map(suite, name, broken, first, monkeypatch, capsys):
-    # a wrong oracle entry, the opposite map with the other sign, or a
-    # doubled left entry fails its suite, which names the sub-check and
-    # the case in its first failure; the suite does not adopt the wrong sign
-    monkeypatch.setattr(suites, name, broken)
-    assert main(["verify", "--N", "1", "--suite", suite]) == 1
+    ("L1-cert", correspondence, "sugawara_l",
+     lambda *args: heisenberg.sugawara_l(*args).scale(2),
+     "L(-1) derivative at k=0, l=0, w1=FockVector(1/2; 1*a[]),"
+     " w2=FockVector(1/2; 1*a[]): lhs=FockVector(1; 1/4*a[]) rhs=FockVector(1; 1/2*a[])"),
+], ids=["three-forms-oracle", "opposite-sign", "unit-left-entry", "L1-cert-sugawara"])
+def test_suites_fail_on_a_wrong_map(suite, module, name, broken, first, monkeypatch,
+                                    capsys, tmp_path):
+    # a wrong oracle entry, the opposite map with the other sign, a doubled
+    # left entry or a doubled L(-1) fails its suite, which names the
+    # sub-check and the case in its first failure, on the console and in
+    # the report; the suite does not adopt the wrong sign
+    monkeypatch.setattr(module, name, broken)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--N", "1", "--suite", suite, "--json", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"{suite:<20} FAIL")
     assert lines[1:] == [f"  first failure: {first}"]
+    payload = json.loads(out.read_text())
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["pass"] is False
+    assert payload["suites"][0]["first_failure"] == first
 
 
 def test_other_errors_keep_their_traceback(monkeypatch):

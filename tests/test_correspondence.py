@@ -358,22 +358,46 @@ def test_corruption_detected(table):
 
 
 def test_failing_certificate_row(table):
-    # the failure detail is kept as recorded and rendered once, in the row
+    # the failure is kept as data, named by its sub-check, and rendered as
+    # text in the row
     schema = json.loads(
         (Path(__file__).resolve().parents[1] / "src" / "voamodes" / "schemas"
          / "report-v1.schema.json").read_text())
     bad = table.perturbed((0, 0, (), ()), table.target.highest())
     cert = certify_jacobi(bad, [ONE, A1], [table.source.highest()], kmax=1,
                           p_lo=0, p_hi=0)
-    assert not cert.ok and isinstance(cert.first_failure, dict)
+    assert not cert.ok and cert.failure[0] == "jacobi"
+    assert list(cert.failure[1]) == ["k", "l", "n", "p", "v", "w1", "w2"]
     rep = SuiteReport("jacobi-cert")
-    rep.record(True, "unused")
+    rep.check("unused", True, None, None)
     rep.absorb(cert)
     assert (rep.cases, rep.passed) == (cert.cases + 1, cert.passed + 1)
     row = rep.row()
-    assert row["first_failure"] == str(cert.first_failure)
+    assert row["first_failure"] == cert.first_failure
+    assert row["first_failure"].startswith("jacobi at k=")
     jsonschema.validate(row, schema["properties"]["suites"]["items"])
     assert not rep.ok
+
+
+def test_suite_report_failure():
+    rep = SuiteReport("s")
+    rep.check("a", True, 1, 1, k=0)
+    assert rep.ok and rep.failure is None and rep.first_failure is None
+    assert rep.row()["first_failure"] is None
+    # with no where, the text has no "at"
+    rep.check("flag", False, (False, True), (True, False))
+    rep.check("later", False, 1, 2, k=1)
+    assert rep.failure == ("flag", {}, (False, True), (True, False))
+    assert rep.first_failure == "flag: lhs=(False, True) rhs=(True, False)"
+    # absorbing keeps the absorbing report's own first failure
+    other = SuiteReport("t")
+    other.check("b", False, "x", "y", k=2, w="w")
+    assert other.first_failure == "b at k=2, w='w': lhs='x' rhs='y'"
+    rep.absorb(other)
+    assert rep.failure[0] == "flag" and (rep.cases, rep.passed) == (4, 1)
+    fresh = SuiteReport("u")
+    fresh.absorb(other)
+    assert fresh.failure == other.failure
 
 
 def test_zero_table_zero_modes(table, Y):
@@ -441,7 +465,8 @@ def test_reachability_reports_an_unreached_level():
     gens = FockModule(0, level_cap=6).omega0_basis(2)
     rep = reachability_closure(Blind(Q(1, 2), level_cap=5), 1, gens)
     assert not rep.ok and rep.cases == 6
-    assert rep.first_failure == {"level": 3, "reached": 0, "basis": 3}
+    assert rep.failure == ("reachability", {"level": 3}, 0, 3)
+    assert rep.first_failure == "reachability at level=3: lhs=0 rhs=3"
     assert rep.passed == 5
 
 
