@@ -23,7 +23,7 @@ from .correspondence import MapTable
 from .errors import TruncationOverflow
 from .fock import FockIntertwiner, FockModule
 from .heisenberg import FockVector
-from .matrices import left_entry, right_entry
+from .matrices import left_entry_sum, right_entry_conjugated
 from .series import rat, rat_str
 from .suites import ConfigError, RunConfig, SUITE_NAMES, algebra_basis, run_suites
 
@@ -217,10 +217,11 @@ def _table_entries(cfg: RunConfig, target: str):
     """(action, charge, k, n, l, left, right, entry) per entry, in row order.
 
     The charge and the two factor partitions are already rendered.  Each
-    (w, v) block computes its right entries widest window first, k and l
-    descending, so each right-action series is built once at k + l = 2N
-    and read for every smaller window; the rows still go out in (k, n, l)
-    order.
+    entry is computed once, by the memo-free builders: an entry memo
+    would never be read back.  Each (w, v) block computes its right
+    entries widest window first, k and l descending, so each right-action
+    series is built once at k + l = 2N and read for every smaller window;
+    the rows still go out in (k, n, l) order.
     """
     vb = [(v, _partition_str(next(iter(v.terms))))
           for v in algebra_basis(cfg.max_v_weight)]
@@ -231,7 +232,7 @@ def _table_entries(cfg: RunConfig, target: str):
             for v, pv in vb:
                 for k, n, l in grid:
                     yield ("product", "0", k, n, l, pu, pv,
-                           left_entry(u, v, k, n, l))
+                           left_entry_sum(u, v, k, n, l))
         return
     widest_first = [(k, n, l) for k in reversed(idx) for n in idx
                     for l in reversed(idx)]
@@ -242,10 +243,11 @@ def _table_entries(cfg: RunConfig, target: str):
             for lw in idx:
                 for w in M.basis(lw):
                     pw = _partition_str(next(iter(w.terms)))
-                    right = {knl: right_entry(w, v, *knl) for knl in widest_first}
+                    right = {knl: right_entry_conjugated(w, v, *knl)
+                             for knl in widest_first}
                     for k, n, l in grid:
                         yield ("left", cs, k, n, l, pv, pw,
-                               left_entry(v, w, k, n, l))
+                               left_entry_sum(v, w, k, n, l))
                         yield ("right", cs, k, n, l, pw, pv, right[k, n, l])
 
 
@@ -290,7 +292,7 @@ def _write_table_json(write, cfg: RunConfig, target: str, rows) -> None:
         middle = (f',\n      "k": {k},\n      "l": {l},\n      "left": {enc(left)},'
                   f'\n      "n": {n},\n      "result": ')
         tail = f',\n      "right": {enc(right)}\n    }}'
-        write(sep + ",\n".join([head + enc(coeff) + middle + enc(result) + tail
+        write(sep + ",\n".join([f"{head}{enc(coeff)}{middle}{enc(result)}{tail}"
                                  for result, coeff in terms]))
         sep = ",\n"
     # no rows: json.dumps prints an empty list as []

@@ -158,13 +158,14 @@ def _canon(c):
 
 
 def _acc(target: dict, key, coeff) -> None:
+    """Add coeff at key in target: a zero sum is deleted, an integral one is an int."""
     cur = target.get(key)
     if cur is not None:
         coeff = cur + coeff
         if not coeff:
             del target[key]
             return
-    # _canon inlined: this runs once per term of every sum
+    # _canon inlined, as in _add_into's loop
     if type(coeff) is Fraction and coeff.denominator == 1:
         coeff = coeff.numerator
     target[key] = coeff
@@ -191,17 +192,47 @@ def _scale_terms(terms: dict, s) -> dict:
 
 
 def _add_into(target: dict, terms: dict, s=1) -> None:
-    """Add s * terms into target; terms must be canonical, with no zeros."""
-    s = _canon(s)
+    """Add s * terms into target; terms must be canonical, with no zeros.
+
+    The accumulate of _acc runs inline, with _canon inlined: this runs
+    once per term of every sum.  A sum that reaches zero is deleted, and
+    an integral one is stored as an int.
+    """
     if s == 1:
         if not target:
             target.update(terms)
             return
+        get = target.get
         for p, c in terms.items():
-            _acc(target, p, c)
-    elif s != 0:
-        for p, c in terms.items():
-            _acc(target, p, c * s)
+            cur = get(p)
+            if cur is None:
+                # a term of terms is canonical already
+                target[p] = c
+                continue
+            c = cur + c
+            if not c:
+                del target[p]
+            elif type(c) is Fraction and c.denominator == 1:
+                target[p] = c.numerator
+            else:
+                target[p] = c
+        return
+    if type(s) is Fraction and s.denominator == 1:
+        s = s.numerator
+    if not s:
+        return
+    get = target.get
+    for p, c in terms.items():
+        c = c * s
+        cur = get(p)
+        if cur is not None:
+            c = cur + c
+            if not c:
+                del target[p]
+                continue
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        target[p] = c
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +527,7 @@ class FockVector:
         if not same_charge(self.charge, other.charge):
             raise ValueError("cannot add vectors of different charge")
         out = dict(self.terms)
-        for p, c in other.terms.items():
-            _acc(out, p, c)
+        _add_into(out, other.terms)
         return _trusted_vector(self.charge, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":

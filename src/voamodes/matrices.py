@@ -32,7 +32,10 @@ constructor.  An entry reads its form's series up to x^{k+l}, which does
 not depend on the middle index n, and the series up to x^t is a prefix
 of the series up to any larger t.  So each form caches its own series
 per (w, v), built to the largest k+l asked for so far, in a bounded
-cache of its own; no form reads another's series.
+cache of its own; no form reads another's series.  `left_entry` and
+`right_entry` memoize whole entries for the verify suites, which read
+many entries more than once; `tables` reads each entry once, so it
+calls the memo-free `left_entry_sum` and `right_entry_conjugated`.
 
 Matrix entries are exact and uncapped: products routinely pass through
 weights above the module truncation bound on their way to a residue, and
@@ -159,14 +162,17 @@ def omega1_n(n: int) -> IndexedMatrix:
 
 
 def left_entry(v: FockVector, w: FockVector, k: int, n: int, l: int) -> FockVector:
-    """Res_x T_{k+l+1}((x+1)^(-k+n-l-1)) (1+x)^l Y((1+x)^{L(0)}v, x) w."""
-    if not same_charge(v.charge, ALGEBRA_CHARGE):
-        raise ValueError("left factor must be an algebra vector")
+    """`left_entry_sum`, memoized: the verify suites read entries again."""
     return _left_entry_cached(v, w, k, n, l)
 
 
-@lru_cache(maxsize=1 << 18)
-def _left_entry_cached(v, w, k, n, l):
+def left_entry_sum(v: FockVector, w: FockVector, k: int, n: int, l: int) -> FockVector:
+    """Res_x T_{k+l+1}((x+1)^(-k+n-l-1)) (1+x)^l Y((1+x)^{L(0)}v, x) w.
+
+    Computed afresh on every call; `tables` reads each entry once.
+    """
+    if not same_charge(v.charge, ALGEBRA_CHARGE):
+        raise ValueError("left factor must be an algebra vector")
     # every exponent s of the weights is at most k + l, so the engine
     # levels it reads, sum(nu) + sum(mu) + s, are filled (or negative,
     # and absent)
@@ -182,6 +188,10 @@ def _left_entry_cached(v, w, k, n, l):
                 if got:
                     _add_into(out, got, c_pair * c)
     return _trusted_vector(w.charge, out)
+
+
+# a miss raises before anything is cached, so the charge check holds for hits
+_left_entry_cached = lru_cache(maxsize=1 << 18)(left_entry_sum)
 
 
 @lru_cache(maxsize=1 << 10)

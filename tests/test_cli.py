@@ -323,6 +323,18 @@ def test_tables_builds_each_series_once(tmp_path, monkeypatch, clear_caches):
     assert Counter(builds) == Counter(pairs)
 
 
+@pytest.mark.parametrize("target", ["algebra", "bimodule"])
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_tables_keeps_no_entry_memo(target, fmt, tmp_path, clear_caches):
+    # tables reads each entry once, so it leaves both entry memos empty
+    clear_caches()
+    out = tmp_path / "t.out"
+    assert main(["tables", "--target", target, "--N", "1", fmt, str(out)]) == 0
+    assert out.stat().st_size
+    assert matrices._left_entry_cached.cache_info().currsize == 0
+    assert matrices._right_entry_cached.cache_info().currsize == 0
+
+
 def test_tables_check_no_level_cap(tmp_path):
     # residue entries are exact and uncapped: the windows reach k + l = 8,
     # past L_max = 4, and still no entry overflows
@@ -560,7 +572,7 @@ def _overflow(*args):
      "truncation overflow: "),
     # the small tables tried never overflow, so one entry is made to
     (["tables", "--target", "algebra", "--N", "0", "--max-v-weight", "1"],
-     "left_entry", 3, "truncation overflow: "),
+     "left_entry_sum", 3, "truncation overflow: "),
     (["intertwiner", "--l1", "1/0", "--l2", "1/2"], None, 2, "config error: "),
 ], ids=["verify-config", "tables-config", "intertwiner-config",
         "verify-truncation", "tables-truncation", "intertwiner-charge"])

@@ -234,6 +234,53 @@ def test_vector_algebra():
         A1.terms = {}
 
 
+def _canonical(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+_PARTITIONS = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+# canonical coefficients: nonzero, an int when integral
+_COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Q, st.integers(-5, 5).filter(bool), st.integers(2, 4)).map(_canonical))
+_TERMS = st.dictionaries(_PARTITIONS, _COEFFS, max_size=8)
+_MULTIPLIERS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Q, st.integers(-5, 5).filter(bool), st.integers(2, 4)).filter(
+        lambda q: q.denominator > 1),
+    st.builds(Q, st.integers(-3, 3)),
+    st.just(0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_TERMS, _TERMS, _MULTIPLIERS)
+def test_add_into_matches_fraction_reference(target, terms, s):
+    # the sum of plain Fractions, zeros dropped, against the canonical
+    # accumulate: no zero value is kept and every integral value is an int
+    expected = {}
+    for p in target.keys() | terms.keys():
+        c = Q(target.get(p, 0)) + Q(s) * Q(terms.get(p, 0))
+        if c:
+            expected[p] = c
+    before = dict(terms)
+    _add_into(target, terms, s)
+    assert target == expected
+    assert terms == before
+    assert all(c != 0 for c in target.values())
+    assert all(type(c) is int or (type(c) is Q and c.denominator > 1)
+               for c in target.values())
+
+
+@given(_TERMS)
+def test_add_into_copies_into_an_empty_target(terms):
+    target = {}
+    _add_into(target, terms, 1)
+    assert target == terms
+    assert target is not terms
+    assert [type(c) for c in target.values()] == [type(c) for c in terms.values()]
+
+
 # -- engine oracle: the same three stages in Fraction arithmetic -------------
 
 
