@@ -196,32 +196,23 @@ def cmd_tables(args) -> int:
     path = args.csv if args.csv is not None else args.json
     if not _writable(path):
         return EXIT_CONFIG
-    rows = _table_rows(_table_entries(cfg, args.target))
+    entries = _table_entries(cfg, args.target)
     if args.csv is not None:
-        def write(fh):
-            writer = csv.writer(fh)
-            writer.writerow(TABLE_COLUMNS)
-            for *fixed, terms in rows:
-                writer.writerows([(*fixed, result, coeff) for result, coeff in terms])
-
-        ok = _write_file(path, write, newline="")
+        ok = _write_file(path, lambda fh: _write_table_csv(fh, entries), newline="")
     else:
-        def write(fh):
-            _write_table_json(fh.write, cfg, args.target, rows)
-
-        ok = _write_file(path, write)
+        ok = _write_file(path, lambda fh: _write_table_json(fh.write, cfg, args.target, entries))
     return EXIT_OK if ok else EXIT_CONFIG
 
 
 def _table_entries(cfg: RunConfig, target: str):
     """(action, charge, k, n, l, left, right, entry) per entry, in row order.
 
-    The charge and the two factor partitions are already rendered.  Each
-    entry is computed once, by the memo-free builders: an entry memo
-    would never be read back.  Each (w, v) block computes its right
-    entries widest window first, k and l descending, so each right-action
-    series is built once at k + l = 2N and read for every smaller window;
-    the rows still go out in (k, n, l) order.
+    Both writers read them as they come; the charge and the two factor
+    partitions are already rendered.  Each entry is computed once, by the
+    memo-free builders: an entry memo would never be read back.  Each
+    (w, v) block computes its right entries widest window first, k and l
+    descending, so each right-action series is built once at k + l = 2N
+    and read for every smaller window; rows go out in (k, n, l) order.
     """
     vb = [(v, _partition_str(next(iter(v.terms))))
           for v in algebra_basis(cfg.max_v_weight)]
@@ -251,49 +242,54 @@ def _table_entries(cfg: RunConfig, target: str):
                         yield ("right", cs, k, n, l, pw, pv, right[k, n, l])
 
 
-def _table_rows(entries):
-    """(action, charge, k, n, l, left, right, terms) per entry with terms.
+def _write_table_csv(fh, entries) -> None:
+    """The TABLE_COLUMNS header, then one row per term of each entry.
 
-    `terms` lists the entry's (result, coeff) strings, partitions sorted;
-    each entry stands for one TABLE_COLUMNS row per term.  A canonical
-    coefficient is an int or a Fraction with denominator > 1, so str()
-    renders it as rat_str does.
+    Terms go out partitions sorted, and an entry with no terms writes no
+    row.  A canonical coefficient is an int or a Fraction with
+    denominator > 1, so csv.writer renders it as rat_str does.
     """
     parts: dict = {}
+    writer = csv.writer(fh)
+    writer.writerow(TABLE_COLUMNS)
     for action, charge, k, n, l, left, right, entry in entries:
-        coeffs = entry.terms
-        terms = []
-        for p in sorted(coeffs):
-            result = parts.get(p)
-            if result is None:
-                result = parts[p] = _partition_str(p)
-            terms.append((result, str(coeffs[p])))
-        if terms:
-            yield (action, charge, k, n, l, left, right, terms)
+        terms = sorted(entry.terms.items())
+        for p, _ in terms:
+            if p not in parts:
+                parts[p] = _partition_str(p)
+        writer.writerows([(action, charge, k, n, l, left, right, parts[p], c)
+                          for p, c in terms])
 
 
-def _write_table_json(write, cfg: RunConfig, target: str, rows) -> None:
+def _write_table_json(write, cfg: RunConfig, target: str, entries) -> None:
     """The tables payload, written as _dump_json would write it, entry by entry.
 
     Each row object is laid out as json.dumps(indent=2, sort_keys=True)
     lays it out inside the "rows" list, keys sorted: action, charge,
     coeff, k, l, left, n, result, right.  One head/middle/tail template
-    per entry holds its fixed fields; each term fills in only its coeff
-    and result, and each entry is one write.  The top-level keys go out
-    in sorted order: config, rows, schema, target.
+    per entry holds its fixed fields; each term, partitions sorted, fills
+    in its result and its canonical coefficient (digits, '-' and '/' only:
+    no escapes), and each entry with terms is one write.  The top-level
+    keys go out in sorted order: config, rows, schema, target.
     """
     enc = encode_basestring_ascii
+    parts: dict = {}
     config = json.dumps(cfg.echo(), indent=2, sort_keys=True).replace("\n", "\n  ")
     write('{\n  "config": ' + config + ',\n  "rows": [')
     sep = "\n"
-    for action, charge, k, n, l, left, right, terms in rows:
+    for action, charge, k, n, l, left, right, entry in entries:
+        terms = sorted(entry.terms.items())
+        if not terms:
+            continue
+        for p, _ in terms:
+            if p not in parts:
+                parts[p] = enc(_partition_str(p))
         head = (f'    {{\n      "action": {enc(action)},\n'
-                f'      "charge": {enc(charge)},\n      "coeff": ')
-        middle = (f',\n      "k": {k},\n      "l": {l},\n      "left": {enc(left)},'
+                f'      "charge": {enc(charge)},\n      "coeff": "')
+        middle = (f'",\n      "k": {k},\n      "l": {l},\n      "left": {enc(left)},'
                   f'\n      "n": {n},\n      "result": ')
         tail = f',\n      "right": {enc(right)}\n    }}'
-        write(sep + ",\n".join([f"{head}{enc(coeff)}{middle}{enc(result)}{tail}"
-                                 for result, coeff in terms]))
+        write(sep + ",\n".join([f"{head}{c}{middle}{parts[p]}{tail}" for p, c in terms]))
         sep = ",\n"
     # no rows: json.dumps prints an empty list as []
     write(("]" if sep == "\n" else "\n  ]")

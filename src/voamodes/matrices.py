@@ -286,6 +286,8 @@ def _conjugated_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
 def right_entry_conjugated(w: FockVector, v: FockVector, k: int, n: int,
                            l: int) -> FockVector:
     """Right action entry via (1+x)^{-L(0)} Y_W(v, -x) (1+x)^{L(0)} w."""
+    if not same_charge(v.charge, ALGEBRA_CHARGE):
+        raise ValueError("right factor must be an algebra vector")
     return _residue_against(_conjugated_series(w, v, k + l), w.charge, k, n, l)
 
 
@@ -385,12 +387,11 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
 
 
 def right_entry(w: FockVector, v: FockVector, k: int, n: int, l: int) -> FockVector:
-    """Right action entry in the conjugated form, memoized."""
-    if not same_charge(v.charge, ALGEBRA_CHARGE):
-        raise ValueError("right factor must be an algebra vector")
+    """`right_entry_conjugated`, memoized: the verify suites read entries again."""
     return _right_entry_cached(w, v, k, n, l)
 
 
+# a miss raises before anything is cached, so the charge check holds for hits
 @lru_cache(maxsize=1 << 18)
 def _right_entry_cached(w, v, k, n, l):
     return right_entry_conjugated(w, v, k, n, l)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,9 +12,17 @@ import jsonschema
 import pytest
 
 from voamodes import cli, correspondence, heisenberg, matrices, suites
-from voamodes.cli import TABLE_COLUMNS, _dump_json, _write_table_json, main
+from voamodes.cli import (
+    TABLE_COLUMNS,
+    _dump_json,
+    _write_table_csv,
+    _write_table_json,
+    main,
+)
 from voamodes.errors import TruncationOverflow
 from voamodes.fock import FockModule
+from voamodes.heisenberg import FockVector
+from voamodes.series import rat_str
 from voamodes.suites import (
     SUITE_NAMES,
     ConfigError,
@@ -276,28 +285,53 @@ def test_tables_json_is_indented_dumps(argv, tmp_path):
     assert len(lines) > 100
 
 
-@pytest.mark.parametrize("entries", [
-    [],
-    [("left", "1/2", 0, 1, 2, "", "2,1", [("", "1"), ("3", "-5/4")]),
-     ("a\"b\\\u00e9\n", "\n\u00e9\\\"", 10, 0, 7, "\u2603\"\\\n",
-      "\\\n\"\u00e9", [("1,1", "0"), ("\"\u00e9\n\\", "\\\u2603\n\"")])],
-], ids=["empty", "escaped"])
+# a vector whose terms cover the empty partition, a negative int and a
+# Fraction, listed out of sorted order; and one with no terms
+_TERMS = FockVector(Q(1, 2), {(3,): Q(-5, 4), (): 1, (2, 1): -3})
+_NO_TERMS = FockVector(Q(1, 2))
+_ESCAPED = [("left", "1/2", 0, 1, 2, "", "2,1", _TERMS),
+            ("right", "1/2", 1, 1, 1, "1", "1", _NO_TERMS),
+            ("a\"b\\\u00e9\n", "\n\u00e9\\\"", 10, 0, 7, "\u2603\"\\\n",
+             "\\\n\"\u00e9", _TERMS)]
+
+
+def _flat_rows(entries):
+    """The TABLE_COLUMNS rows of the entries, every field a string."""
+    return [(*fixed, ",".join(map(str, p)), rat_str(c))
+            for *fixed, entry in entries for p, c in sorted(entry.terms.items())]
+
+
+@pytest.mark.parametrize("entries", [[], _ESCAPED], ids=["empty", "escaped"])
 def test_tables_json_rows_template(entries):
     # one template per entry; quote, backslash, non-ASCII and newline in
     # every string field still come out as json.dumps escapes them
     cfg = RunConfig(n=1, charges=(Q(1, 2),))
     chunks = []
     _write_table_json(chunks.append, cfg, "bimodule", iter(entries))
-    rows = [(*fixed, result, coeff)
-            for *fixed, terms in entries for result, coeff in terms]
     payload = {"config": cfg.echo(), "schema": "voa-modes-tables/1",
                "target": "bimodule",
-               "rows": [dict(zip(TABLE_COLUMNS, row)) for row in rows]}
+               "rows": [dict(zip(TABLE_COLUMNS, row)) for row in _flat_rows(entries)]}
     assert "".join(chunks) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    # each entry is one write
+    # each entry with terms is one write
     frame = []
     _write_table_json(frame.append, cfg, "bimodule", iter([]))
-    assert len(chunks) == len(frame) + len(entries)
+    assert len(chunks) == len(frame) + sum(1 for *_, e in entries if e.terms)
+
+
+@pytest.mark.parametrize("entries", [
+    [],
+    _ESCAPED,
+    [("product", "0", 0, 0, 0, "a,b", "\"q\"\nr", _TERMS),
+     ("product", "0", 0, 0, 1, "", "", _NO_TERMS)],
+], ids=["empty", "escaped", "comma-quote-newline"])
+def test_tables_csv_rows(entries):
+    # the writer against csv.writer on the flattened string rows
+    got, want = io.StringIO(), io.StringIO()
+    _write_table_csv(got, iter(entries))
+    writer = csv.writer(want)
+    writer.writerow(TABLE_COLUMNS)
+    writer.writerows(_flat_rows(entries))
+    assert got.getvalue() == want.getvalue()
 
 
 def test_tables_builds_each_series_once(tmp_path, monkeypatch, clear_caches):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -25,6 +26,7 @@ from voamodes.matrices import (
     opposite_map,
     probe_equal,
     right_entry,
+    right_entry_conjugated,
     right_entry_direct,
     right_entry_right_op,
 )
@@ -165,6 +167,27 @@ def test_kernel_element_grid():
                         km = jacobi_kernel_element(W1, k, l, n, p, v,
                                                    W1.basis(1)[0])
                         assert first_nonzero_image(Y, km) is None
+
+
+def test_kernel_suite_reaches_nonzero_elements(monkeypatch):
+    # the suite's grid at N = 2 holds nonzero kernel elements for every
+    # charge pair, not only combinations that cancel to the zero vector;
+    # they sit at l = 2, p = -2, so a grid narrowed to p >= -1 fails here
+    from voamodes import suites
+
+    build = suites.jacobi_kernel_element
+    nonzero = Counter()
+
+    def counted(W1, k, l, n, p, v, w):
+        km = build(W1, k, l, n, p, v, w)
+        if not km.is_zero():
+            nonzero[W1.lam] += 1
+        return km
+
+    monkeypatch.setattr(suites, "jacobi_kernel_element", counted)
+    rep = suites.suite_kernel(suites.RunContext(suites.RunConfig(n=2).validate()))
+    assert rep.ok
+    assert all(nonzero[lam1] > 0 for lam1, _ in suites.BIMODULE_PAIRS), nonzero
 
 
 def _kernel_element_chain(module, k, l, n, p, v, w):
@@ -459,6 +482,7 @@ def _half_table():
     lambda: FockModule(Q(1)).mode(_CHARGED, 0, FockVector.basis(Q(1), ())),
     lambda: FockModule(Q(1)).mode(ONE, 0, _HALF),
     lambda: right_entry(_HALF, _CHARGED, 1, 0, 0),
+    lambda: right_entry_conjugated(_HALF, _CHARGED, 1, 0, 0),
     lambda: right_entry_direct(_HALF, _CHARGED, 1, 0, 0),
     lambda: right_entry_right_op(_HALF, _CHARGED, 1, 0, 0),
     lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
@@ -481,7 +505,7 @@ def _half_table():
     lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
         0, 3, _HALF, FockVector.basis(Q(1), ())),
 ], ids=["module-theta", "module-theta-dual", "module-mode-v", "module-mode-w",
-        "right-entry-conjugated",
+        "right-entry", "right-entry-conjugated",
         "right-entry-direct", "right-entry-right-op", "intertwiner-theta-w1",
         "intertwiner-theta-w2", "module-theta-dual-wprime", "intertwiner-series",
         "table-value", "algebra-vertex-series", "module-theta-v-off-level",
