@@ -60,15 +60,15 @@ the denominator has three sources:
   (-1)^m C(k+m, m) and C(d-1, m), and are exact integers already.
 
 The algebra of the conformal vector w = (1/2)a(-1)^2 |0> acts through
-the same engine; the Sugawara forms of L(m) and L(0) are provided
-directly as fast paths, independent of the engine, and the test suite
-checks them against the engine and against the dense sum over all
-mode pairs.  L(m) has one core, `_sugawara_core`, on integer
-numerators: at charge P/Qd it gives S L(m) with S = Qd for odd m and
-S = 2 Qd^2 for even m.  `sugawara_l` puts a vector over one common
-denominator and divides once per output term; the operator chains of
-the right-operator oracle call the core directly and divide once per
-sum (`_NumeratorSum`).
+the same engine.  The three Virasoro modes the program uses are also
+provided directly as fast paths, independent of the engine, and the
+test suite checks them against the engine and against the dense sum
+over all mode pairs: `l_zero` is L(0), and `sugawara_l` computes L(-1)
+and L(1) through one core, `_sugawara_core`, on integer numerators: at
+charge P/Qd it gives Qd L(m).  `sugawara_l` puts a vector over one
+common denominator and divides once per output term; the right vertex
+operator and the operator chains of the right-operator oracle call the
+core directly and divide once per sum (`_NumeratorSum`).
 """
 
 from __future__ import annotations
@@ -611,83 +611,47 @@ def zero_vector(charge) -> FockVector:
 
 
 def sugawara_l(m: int, vec: FockVector) -> FockVector:
-    """L(m) = (1/2) sum_j :a(-j)a(j+m):  acting on a Fock vector.
+    """L(m) = (1/2) sum_j :a(-j)a(j+m):  on a Fock vector, for m = -1 or 1.
 
     Takes vec over one common denominator, applies `_sugawara_core`
-    and divides once per output term.
+    and divides once per output term.  L(0) is `l_zero`.
     """
+    if m not in (-1, 1):
+        raise ValueError(f"sugawara_l computes L(-1) and L(1), not L({m})")
     lam = vec.charge
     den, nums = _numerators(vec.terms)
     qd = lam.denominator
-    total = den * (qd if m % 2 else 2 * qd * qd)
-    return _trusted_vector(lam, {p: _quotient(c, total) for p, c in
+    return _trusted_vector(lam, {p: _quotient(c, den * qd) for p, c in
                                  _sugawara_core(m, nums, lam.numerator, qd).items()})
 
 
 def _sugawara_core(m: int, nums: dict, p_num: int, q_den: int) -> dict:
-    """Integer numerators of S L(m) on integer numerators, at charge p_num/q_den.
+    """Integer numerators of q_den L(m) on integer numerators, at charge p_num/q_den.
 
-    S = q_den for odd m and 2 q_den^2 for even m, which clears the
-    charge and the halved square.  In normal order
-    L(m) = sum_{a>b, a+b=m} a(b)a(a) + [m even] a(m/2)^2/2, so only the
-    parts a > m/2 present in a term are annihilated; the zero-mode and
-    creator-creator pairs act on every term.  Zero sums are left out.
+    m is -1 or 1.  In normal order L(m) = sum_{a>=1} a(m-a)a(a) +
+    [m = -1] a(-1)a(0), so each part a of a term is annihilated and the
+    part a - m created in its place; for a = m (L(1) on a part 1) the
+    mode a(m - a) = a(0) reads the charge instead, q_den lam = p_num.
+    Zero sums are left out.
     """
     out: dict = {}
     get = out.get
-    even = m % 2 == 0
-    scale = 2 * q_den * q_den if even else q_den
-    # a zero mode a(0) reads the charge: S * lam
-    zero_mode = 2 * p_num * q_den if even else p_num
-    half = m // 2 if even else None
-    # both modes creators: a(m-a)a(a) with m/2 < a < 0, as inserted parts
-    creations = [(-a, a - m) for a in range(-1, m // 2, -1)]
     for p, c in nums.items():
-        cs = c * scale
+        cs = c * q_den
         for a in set(p):
-            if 2 * a <= m:
-                continue
             q = list(p)
             q.remove(a)
-            ca = cs * a * p.count(a)
-            b = m - a
-            if b > 0:
-                mult = q.count(b)
-                if mult:
-                    q.remove(b)
-                    key = tuple(q)
-                    out[key] = get(key, 0) + ca * b * mult
-            elif b == 0:
+            if a == m:
                 if p_num:
                     key = tuple(q)
-                    out[key] = get(key, 0) + c * a * p.count(a) * zero_mode
+                    out[key] = get(key, 0) + c * p_num * p.count(a)
             else:
-                key = _insert_part(tuple(q), -b)
-                out[key] = get(key, 0) + ca
-        if half is not None:
-            if half > 0:
-                mult = p.count(half)
-                if mult > 1:
-                    q = list(p)
-                    q.remove(half)
-                    q.remove(half)
-                    key = tuple(q)
-                    out[key] = get(key, 0) + cs * half * half * (mult * (mult - 1) // 2)
-            elif half == 0:
-                if p_num:
-                    # S lam^2 / 2 = p_num^2
-                    out[p] = get(p, 0) + c * p_num * p_num
-            else:
-                # S / 2 = q_den^2
-                key = _insert_part(_insert_part(p, -half), -half)
-                out[key] = get(key, 0) + c * q_den * q_den
+                key = _insert_part(tuple(q), a - m)
+                out[key] = get(key, 0) + cs * a * p.count(a)
         if m < 0 and p_num:
-            # a(m)a(0)
-            key = _insert_part(p, -m)
-            out[key] = get(key, 0) + c * zero_mode
-        for d1, d2 in creations:
-            key = _insert_part(_insert_part(p, d1), d2)
-            out[key] = get(key, 0) + cs
+            # a(-1)a(0)
+            key = _insert_part(p, 1)
+            out[key] = get(key, 0) + c * p_num
     return {p: c for p, c in out.items() if c}
 
 

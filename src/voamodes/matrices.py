@@ -461,9 +461,12 @@ def jacobi_sums(k: int, l: int, n: int, p: int, hv: int, lev: int):
 
 
 @lru_cache(maxsize=1 << 12)
-def _module_mode(lam, cap: int, v: FockVector, i: int, w: FockVector) -> FockVector:
-    """FockModule(lam, cap).mode(v, i, w): a sweep asks for few distinct modes."""
-    return FockModule(lam, cap).mode(v, i, w)
+def _module_mode(lam, v: FockVector, i: int, w: FockVector) -> FockVector:
+    """(Y_W)_i(v) w on W = F(lam), uncapped: a matrix entry is exact.
+
+    A sweep asks for few distinct modes.
+    """
+    return FockModule(lam, level_cap=10 ** 9).mode(v, i, w)
 
 
 def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
@@ -491,7 +494,7 @@ def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
     for q, c in right:
         _add_into(acc, right_entry(w, v, k, q, l + p).terms, -c)
     for i, c in modes:
-        _add_into(acc, _module_mode(module.lam, module.level_cap, v, i, w).terms, -c)
+        _add_into(acc, _module_mode(module.lam, v, i, w).terms, -c)
     if not acc:
         return IndexedMatrix.zero(w.charge)
     return IndexedMatrix.single(_trusted_vector(w.charge, acc), k, l + p)

@@ -655,6 +655,9 @@ def run_suites(cfg: RunConfig, echo=None):
     # kernel evaluates on module levels l + p up to N + p_hi
     if "kernel" in cfg.suites and cfg.n + max(cfg.p_window[1], 0) > cfg.l_max:
         raise TruncationOverflow("kernel grid needs levels beyond L_max")
+    # omega-commutators evaluates its subdiagonal kernel elements at level N + 1
+    if "omega-commutators" in cfg.suites and cfg.n + 1 > cfg.l_max:
+        raise TruncationOverflow("omega-commutators needs level N + 1 within L_max")
     if "jacobi-cert" in cfg.suites or "L1-cert" in cfg.suites:
         ctx.cert_table()  # surface truncation problems before any suite runs
     reports = []

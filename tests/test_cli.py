@@ -109,18 +109,23 @@ def test_wide_p_window_sweeps_only_recorded_points(tmp_path):
 
 def test_kernel_window_above_lmax_is_a_truncation_overflow(tmp_path):
     # kernel reads module levels up to N + p_hi, so p_hi = 20 at N = 0 is
-    # refused before any suite runs, as jacobi-cert refuses it
+    # refused before any suite runs, as jacobi-cert refuses it;
+    # omega-commutators reads level N + 1, so N = L_max = 4 is refused
+    # before homomorphism (several seconds) runs
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     cfgfile = tmp_path / "wide.cfg"
     cfgfile.write_text("p_window = 0, 20\n")
-    got = subprocess.run([sys.executable, "-m", "voamodes.cli", "verify", "--N", "0",
-                          "--suite", "kernel", "--config", str(cfgfile)],
-                         env=env, capture_output=True, text=True, timeout=60)
-    assert got.returncode == 3
-    assert got.stdout == ""
-    assert got.stderr.startswith("truncation overflow: ")
-    assert "Traceback" not in got.stderr
+    for args in (["--N", "0", "--suite", "kernel", "--config", str(cfgfile)],
+                 ["--N", "4", "--lmax", "4", "--suite", "homomorphism",
+                  "--suite", "omega-commutators"]):
+        got = subprocess.run([sys.executable, "-m", "voamodes.cli", "verify", *args],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert got.returncode == 3, args
+        assert got.stdout == ""
+        assert got.stderr.startswith("truncation overflow: ")
+        assert got.stderr.count("\n") == 1
+        assert "Traceback" not in got.stderr
 
 
 def test_config_file_errors(tmp_path):

@@ -19,6 +19,7 @@ from voamodes.heisenberg import (
     apply_annihilator,
     conformal_vector,
     expand_pair,
+    l_zero,
     partitions_of,
     sugawara_l,
     vacuum,
@@ -111,12 +112,27 @@ def test_sugawara_matches_dense_oracle(charge):
         # every partition of n at once, so terms can meet and cancel
         vectors.append(FockVector(charge, {p: (Q(i, 3) if i % 2 else i - 2)
                                            for i, p in enumerate(parts)}))
+    # the engine at every m, the fast paths at the modes they compute
+    engine = FockModule(charge, level_cap=12)
     for vec in vectors:
         for m in range(-4, 5):
-            got = sugawara_l(m, vec)
-            assert got == dense_sugawara_oracle(m, vec), (m, vec)
+            want = dense_sugawara_oracle(m, vec)
+            assert engine.mode(OM, m + 1, vec) == want, (m, vec)
+            if m in (-1, 1):
+                got = sugawara_l(m, vec)
+            elif m == 0:
+                got = l_zero(vec)
+            else:
+                continue
+            assert got == want, (m, vec)
             assert type(got.charge) is Q
             assert all(_canonical_coeff(c) and c != 0 for c in got.terms.values())
+
+
+@pytest.mark.parametrize("m", [-2, 0, 2])
+def test_sugawara_computes_only_odd_unit_modes(m):
+    with pytest.raises(ValueError):
+        sugawara_l(m, FockVector.basis(Q(1, 2), (2, 1)))
 
 
 def test_vacuum_and_conformal():

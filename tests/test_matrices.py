@@ -170,9 +170,10 @@ def test_kernel_element_grid():
 
 
 def test_kernel_suite_reaches_nonzero_elements(monkeypatch):
-    # the suite's grid at N = 2 holds nonzero kernel elements for every
-    # charge pair, not only combinations that cancel to the zero vector;
-    # they sit at l = 2, p = -2, so a grid narrowed to p >= -1 fails here
+    # the suite's grid at N = 2 and N = 3 (default L_max) holds nonzero
+    # kernel elements for every charge pair, not only combinations that
+    # cancel to the zero vector; they sit at l = 2, p = -2, so a grid
+    # narrowed to p >= -1 fails here
     from voamodes import suites
 
     build = suites.jacobi_kernel_element
@@ -185,9 +186,11 @@ def test_kernel_suite_reaches_nonzero_elements(monkeypatch):
         return km
 
     monkeypatch.setattr(suites, "jacobi_kernel_element", counted)
-    rep = suites.suite_kernel(suites.RunContext(suites.RunConfig(n=2).validate()))
-    assert rep.ok
-    assert all(nonzero[lam1] > 0 for lam1, _ in suites.BIMODULE_PAIRS), nonzero
+    for n in (2, 3):
+        nonzero.clear()
+        rep = suites.suite_kernel(suites.RunContext(suites.RunConfig(n=n).validate()))
+        assert rep.ok, n
+        assert all(nonzero[lam1] > 0 for lam1, _ in suites.BIMODULE_PAIRS), (n, nonzero)
 
 
 def _kernel_element_chain(module, k, l, n, p, v, w):
@@ -571,8 +574,8 @@ def test_results_are_canonical_and_own_their_terms():
         coeffs = [*Y.series(w, w2, e0 - 6, e0 + t).values(),
                   *right_vertex_op(M, w, v, -7, t).values()]
         for vec in (u, v, w, w2, u + v, u - u, u.scale(Q(-2, 3)), u.scale(0),
-                    u.level_component(2), sugawara_l(m, w), l_zero(w),
-                    M.mode(v, t, w), Y.mode(-t - 1 - e0, w, w2),
+                    u.level_component(2), sugawara_l(-1, w), sugawara_l(1, w),
+                    l_zero(w), M.mode(v, t, w), Y.mode(-t - 1 - e0, w, w2),
                     M.theta(k, l, v, w), M.theta_dual(k, l, v, w),
                     Y.theta(k, l, w, w2), table.value(k, l, w, w2), *coeffs):
             _assert_canonical(vec)
@@ -591,7 +594,7 @@ def test_results_are_canonical_and_own_their_terms():
         v_top = v.level_component(max(v.levels(), default=0))
         if l + m >= 0:
             km = jacobi_kernel_element(M, k, l, n, m, v_top, w)
-            modes = [_module_mode(M.lam, M.level_cap, v_top, i, w).terms
+            modes = [_module_mode(M.lam, v_top, i, w).terms
                      for i in range(m, m + 8)]
             _assert_canonical(km.entry(k, l + m), modes)
         flipped = opposite_map(IndexedMatrix.single(v, k, l)).entry(l, k)
