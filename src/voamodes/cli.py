@@ -385,6 +385,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes only `-1`-like numbers as option values, so `--l2 -1/2`
+    # is joined into `--l2=-1/2`
+    for i in reversed(range(1, len(argv))):
+        flag, tok = argv[i - 1], argv[i]
+        if flag in ("--charges", "--l1", "--l2") and tok[:1] == "-" and tok[1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{flag}={tok}"]
     args = make_parser().parse_args(argv)
     try:
         try:

@@ -34,7 +34,6 @@ from .heisenberg import (
     ALGEBRA_CHARGE,
     FockVector,
     _add_into,
-    _canon,
     _NumeratorSum,
     _numerators,
     _sugawara_core,
@@ -50,22 +49,18 @@ from .series import rat, rat_str
 Q = Fraction
 
 
-def _pair_sum(v_terms: dict, lam1, w_items, lam2, scale, t_of_level) -> dict:
-    """Terms of the sum of cv cw scale [x^(lam1*lam2 + t)] Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
+def _pair_sum(v_terms: dict, lam1, w_items, lam2, t: int) -> dict:
+    """Terms of the sum of cv cw [x^(lam1*lam2 + t)] Y(a(-nu)|lam1>, x) a(-mu)|lam2>.
 
-    The sum runs over (nu, cv) in v_terms and (mu, cw) in w_items, with
-    t = t_of_level(sum(nu)): one engine read per pair, of the one level
-    sum(nu) + sum(mu) + t.  The evaluation maps and the modes of the
-    intertwiners, and so of the modules, are this loop.
+    The sum runs over (nu, cv) in v_terms and (mu, cw) in w_items: one
+    engine read per pair, of the one level sum(nu) + sum(mu) + t.  The
+    modes of the intertwiners, and so of the modules, are this loop.
     """
     out: dict = {}
     for nu, cv in v_terms.items():
-        a = sum(nu)
-        t = t_of_level(a)
-        if scale != 1:
-            cv = cv * scale
+        a = sum(nu) + t
         for mu, cw in w_items:
-            level = a + sum(mu) + t
+            level = a + sum(mu)
             if level >= 0:
                 got = expand_pair(nu, lam1, mu, lam2, level)[level]
                 if got:
@@ -73,8 +68,8 @@ def _pair_sum(v_terms: dict, lam1, w_items, lam2, scale, t_of_level) -> dict:
     return out
 
 
-def mode_series(v_terms: dict, lam1, w_terms: dict, lam2, t_hi: int, scale=1) -> dict:
-    """{t: terms} of the x^(lam1*lam2 + t) coefficients of scale * Y(v, x) w, t <= t_hi.
+def mode_series(v_terms: dict, lam1, w_terms: dict, lam2, t_hi: int) -> dict:
+    """{t: terms} of the x^(lam1*lam2 + t) coefficients of Y(v, x) w, t <= t_hi.
 
     v = sum cv a(-nu)|lam1> and w = sum cw a(-mu)|lam2> are given by
     their terms.  Each pair is one engine read of levels 0 to
@@ -91,7 +86,7 @@ def mode_series(v_terms: dict, lam1, w_terms: dict, lam2, t_hi: int, scale=1) ->
             for lev in range(top + 1):
                 terms = levels[lev]
                 if terms:
-                    _add_into(by_t.setdefault(lev - base, {}), terms, cv * cw * scale)
+                    _add_into(by_t.setdefault(lev - base, {}), terms, cv * cw)
     return {t: terms for t, terms in by_t.items() if terms}
 
 
@@ -224,18 +219,20 @@ class FockIntertwiner:
     """Free-field intertwiner of type (F(q1+q2); F(q1) F(q2)).
 
     The modules have semisimple L(0), so the operator has no log x
-    terms.  `scale` multiplies the whole operator (the fusion space is
-    one-dimensional; scale 1 pins the leading coefficient of
-    Y(|q1>,x)|q2> to 1).  FockIntertwiner(0, q) is the vertex operator
+    terms; the fusion space is one-dimensional, and Y(|q1>,x)|q2> has
+    leading coefficient 1.  FockIntertwiner(0, q) is the vertex operator
     of the module F(q), and FockIntertwiner(0, 0) that of the algebra V.
     """
 
-    def __init__(self, lam1, lam2, level_cap: int = 6, scale=1):
+    # always 1 and read by nothing here; it stays solely because the
+    # benchmark's tracer keys theta calls on it
+    scale = 1
+
+    def __init__(self, lam1, lam2, level_cap: int = 6):
         self.lam1 = intern_charge(lam1)
         self.lam2 = intern_charge(lam2)
         self.lam3 = intern_charge(self.lam1 + self.lam2)
         self.level_cap = int(level_cap)
-        self.scale = _canon(rat(scale))
         self.source = FockModule(self.lam1, level_cap)
         self.right_input = FockModule(self.lam2, level_cap)
         self.target = FockModule(self.lam3, level_cap)
@@ -256,7 +253,7 @@ class FockIntertwiner:
         t = int(t)
         _check_result_level(w1, w2, t, self.level_cap, "intertwiner mode")
         return _trusted_vector(self.lam3, _pair_sum(
-            w1.terms, self.lam1, w2.terms.items(), self.lam2, self.scale, lambda a: t))
+            w1.terms, self.lam1, w2.terms.items(), self.lam2, t))
 
     def series(self, w1: FockVector, w2: FockVector, lo, hi) -> dict:
         """Y(w1, x) w2 over the exponent window [lo, hi]: {exponent: nonzero vector}."""
@@ -267,8 +264,8 @@ class FockIntertwiner:
         _check_result_level(w1, w2, t_hi, self.level_cap, "series window")
         # mode_series leaves out empty terms, so no value is the zero vector
         out: dict = {}
-        for t, terms in mode_series(w1.terms, self.lam1, w2.terms, self.lam2, t_hi,
-                                    self.scale).items():
+        for t, terms in mode_series(w1.terms, self.lam1, w2.terms, self.lam2,
+                                    t_hi).items():
             s = self.base_exponent + t
             if s >= lo:
                 out[s] = _trusted_vector(self.lam3, terms)
@@ -280,15 +277,22 @@ class FockIntertwiner:
         Extracts the residue of x^(h2 - h3 + l - k - 1) Y(x^{L(0)} w1, x) w2;
         the target is a single congruence class.  Since h1 + h2 - h3 =
         -lam1 lam2, a(-nu)|lam1> of level a contributes its
-        x^(lam1 lam2 + k - l - a) coefficient: one engine read at level k.
+        x^(lam1 lam2 + k - l - a) coefficient: level k of the engine's
+        expansion of each pair with a(-mu)|lam2> of level l, zero for k < 0.
         """
         if not (same_charge(w1.charge, self.lam1) and same_charge(w2.charge, self.lam2)):
             raise ValueError("intertwiner modes take (source, right input) vectors")
         if k > self.level_cap:
             raise TruncationOverflow(f"target level {k} above cap")
-        w2_l = [(mu, c2) for mu, c2 in w2.terms.items() if sum(mu) == l]
-        return _trusted_vector(self.lam3, _pair_sum(
-            w1.terms, self.lam1, w2_l, self.lam2, self.scale, lambda a: k - a - l))
+        out: dict = {}
+        if k >= 0:
+            w2_l = [(mu, c2) for mu, c2 in w2.terms.items() if sum(mu) == l]
+            for nu, c1 in w1.terms.items():
+                for mu, c2 in w2_l:
+                    got = expand_pair(nu, self.lam1, mu, self.lam2, k)[k]
+                    if got:
+                        _add_into(out, got, c1 * c2)
+        return _trusted_vector(self.lam3, out)
 
     def __repr__(self):
         return (f"FockIntertwiner({rat_str(self.lam1)}, {rat_str(self.lam2)}; "

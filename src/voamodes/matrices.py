@@ -48,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, update_wrapper
 
-from .fock import FockIntertwiner, FockModule, mode_series, right_vertex_op
+from .fock import FockIntertwiner, FockModule, _pair_sum, mode_series, right_vertex_op
 from .heisenberg import (
     ALGEBRA_CHARGE,
     FockVector,
@@ -464,9 +464,10 @@ def jacobi_sums(k: int, l: int, n: int, p: int, hv: int, lev: int):
 def _module_mode(lam, v: FockVector, i: int, w: FockVector) -> FockVector:
     """(Y_W)_i(v) w on W = F(lam), uncapped: a matrix entry is exact.
 
-    A sweep asks for few distinct modes.
+    The caller checks the charges.  A sweep asks for few distinct modes.
     """
-    return FockModule(lam, level_cap=10 ** 9).mode(v, i, w)
+    return _trusted_vector(lam, _pair_sum(v.terms, ALGEBRA_CHARGE, w.terms.items(),
+                                          lam, -i - 1))
 
 
 def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
@@ -482,10 +483,9 @@ def jacobi_kernel_element(module: FockModule, k: int, l: int, n: int, p: int,
     """
     if l + p < 0:
         raise ValueError("l + p must be a natural number")
-    hv = weight_of(v)
-    if hv.denominator != 1:
-        raise ValueError("algebra weights are integers")
-    left, right, modes = jacobi_sums(k, l, n, p, int(hv),
+    if not (same_charge(v.charge, ALGEBRA_CHARGE) and same_charge(w.charge, module.lam)):
+        raise ValueError("kernel elements take (algebra, module) vectors")
+    left, right, modes = jacobi_sums(k, l, n, p, weight_of(v),
                                      max(w.levels(), default=0))
     # one fresh dict; the cached entries' terms are only read
     acc: dict = {}

@@ -195,21 +195,16 @@ def suite_homomorphism(ctx: RunContext) -> SuiteReport:
     modules = [(M, M.omega0_basis(cfg.n))
                for M in (ctx.module(c) for c in cfg.charges)]
     idx = range(cfg.n + 1)
-    inner: dict = {}  # (v, n, l, module, w) indices -> M.theta(n, l, v, w)
     for u in ctx.v_basis:
-        for vi, v in enumerate(ctx.v_basis):
+        for v in ctx.v_basis:
             for k in idx:
                 for n in idx:
                     for l in idx:
                         entry = left_entry(u, v, k, n, l)
-                        for mi, (M, basis) in enumerate(modules):
-                            for wi, w in enumerate(basis):
+                        for M, basis in modules:
+                            for w in basis:
                                 lhs = M.theta(k, l, entry, w)
-                                key = (vi, n, l, mi, wi)
-                                mid = inner.get(key)
-                                if mid is None:
-                                    mid = inner[key] = M.theta(n, l, v, w)
-                                rhs = M.theta(k, n, u, mid)
+                                rhs = M.theta(k, n, u, M.theta(n, l, v, w))
                                 rep.check("homomorphism", lhs == rhs, lhs, rhs,
                                           k=k, n=n, l=l, u=u, v=v, w=w, module=M)
     rng = ctx.rng()
@@ -281,10 +276,7 @@ def suite_unit(ctx: RunContext) -> SuiteReport:
 def suite_bimodule(ctx: RunContext) -> SuiteReport:
     """Evaluation commutes with the left and right actions.
 
-    Each residue entry is computed outside the w2 loop.  The inner images
-    Y.theta(n, l, w1, w2) and W2.theta(n, l, v, w2) do not depend on the
-    loops around them, so each is evaluated once per pair of charges,
-    keyed on indices and the partition of w2.
+    Each residue entry is computed outside the w2 loop.
     """
     cfg = ctx.cfg
     rep = SuiteReport("bimodule")
@@ -293,29 +285,20 @@ def suite_bimodule(ctx: RunContext) -> SuiteReport:
         Y = ctx.intertwiner(lam1, lam2)
         W1, W2, W3 = Y.source, Y.right_input, Y.target
         w1_basis = W1.omega0_basis(cfg.n)
-        y_inner: dict = {}   # (w1 index, n, l, mu) -> Y.theta(n, l, w1, w2)
-        w2_inner: dict = {}  # (v index, n, l, mu) -> W2.theta(n, l, v, w2)
-        for vi, v in enumerate(ctx.v_basis):
-            for wi, w1 in enumerate(w1_basis):
+        for v in ctx.v_basis:
+            for w1 in w1_basis:
                 for k in idx:
                     for n in idx:
                         for l in idx:
                             left = left_entry(v, w1, k, n, l)
                             right = right_entry(w1, v, k, n, l)
                             for w2 in W2.basis(l):
-                                (mu,) = w2.terms
                                 lhs = Y.theta(k, l, left, w2)
-                                mid = y_inner.get((wi, n, l, mu))
-                                if mid is None:
-                                    mid = y_inner[(wi, n, l, mu)] = Y.theta(n, l, w1, w2)
-                                rhs = W3.theta(k, n, v, mid)
+                                rhs = W3.theta(k, n, v, Y.theta(n, l, w1, w2))
                                 rep.check("left action", lhs == rhs, lhs, rhs,
                                           Y=Y, k=k, n=n, l=l, v=v, w1=w1, w2=w2)
                                 lhs = Y.theta(k, l, right, w2)
-                                mid = w2_inner.get((vi, n, l, mu))
-                                if mid is None:
-                                    mid = w2_inner[(vi, n, l, mu)] = W2.theta(n, l, v, w2)
-                                rhs = Y.theta(k, n, w1, mid)
+                                rhs = Y.theta(k, n, w1, W2.theta(n, l, v, w2))
                                 rep.check("right action", lhs == rhs, lhs, rhs,
                                           Y=Y, k=k, n=n, l=l, v=v, w1=w1, w2=w2)
     return rep

@@ -708,6 +708,20 @@ def test_verify_json_to_stdout_is_the_report(tmp_path, capsys):
     assert "binomial-218" in captured.err and "PASS" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "binomial-218", "--json", "-", "--charges", "-1/2,1"],
+    ["intertwiner", "--N", "1", "--json", "-", "--l2", "1/2", "--l1", "-1/2"],
+    ["intertwiner", "--N", "1", "--json", "-", "--l1", "1/2", "--l2", "-1/2"],
+], ids=["charges", "l1", "l2"])
+def test_negative_fraction_takes_a_space(argv, capsys):
+    # argparse reads `-1/2` as an option; main joins it to its flag
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert main(joined) == 0
+    want = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 class _ClosedStdout:
     """A stdout whose reader has gone away."""
 

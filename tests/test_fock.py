@@ -429,10 +429,6 @@ def test_theta_y_examples():
             for w2x in Y.right_input.basis(l):
                 got = Y.theta(k, l, Y.source.basis(1)[0], w2x)
                 assert got.levels() in ([], [k])
-    # scaling the operator scales every theta value
-    Ys = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=8)
-    Ys.scale = Q(3)
-    assert Ys.theta(0, 0, w1, w2) == Y.theta(0, 0, w1, w2).scale(3)
 
 
 def test_right_vertex_op():

@@ -415,14 +415,40 @@ def test_left_entry_series_route():
                             series_route_left_entry(v, w, k, n, l)
 
 
-def _vector_strategy(charge, max_level=3):
+def _vector_strategy(charge, max_level=3, min_size=0):
     from hypothesis import strategies as st
     from voamodes.heisenberg import partitions_of
 
     parts = [p for n in range(max_level + 1) for p in partitions_of(n)]
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    return st.dictionaries(st.sampled_from(parts), coeff, max_size=3).map(
-        lambda d: FockVector(charge, d))
+    return st.dictionaries(st.sampled_from(parts), coeff, min_size=min_size,
+                           max_size=3).map(lambda d: FockVector(charge, d))
+
+
+@pytest.mark.parametrize("lam1, lam2", [
+    (Q(1, 2), Q(1)), (Q(1), Q(-1, 2)), (Q(-1, 2), Q(-1, 2)), (Q(0), Q(1, 2)),
+], ids=["1/2,1", "1,-1/2", "-1/2,-1/2", "module-1/2"])
+def test_theta_is_the_mode_landing_in_level_k(lam1, lam2):
+    # theta(k, l, w1, w2) sums, over the levels a of w1, the mode of
+    # index wt w1_a + wt w2_l - (h3 + k) - 1, read at level k
+    from hypothesis import given, settings
+
+    Y = FockIntertwiner(lam1, lam2, level_cap=12)
+    h1, h2, h3 = Y.source.h, Y.right_input.h, Y.target.h
+
+    @settings(deadline=None, max_examples=30)
+    @given(_vector_strategy(lam1, min_size=2), _vector_strategy(lam2, min_size=2))
+    def check(w1, w2):
+        for k in range(-1, 4):
+            for l in range(4):
+                w2_l = w2.level_component(l)
+                want = Y.target.zero()
+                for a in w1.levels():
+                    m = (h1 + a) + (h2 + l) - (h3 + k) - 1
+                    want = want + Y.mode(m, w1.level_component(a), w2_l).level_component(k)
+                assert Y.theta(k, l, w1, w2) == want
+
+    check()
 
 
 def test_entry_bilinearity():
@@ -507,6 +533,9 @@ def _half_table():
         0, 3, FockVector.basis(Q(1), ()), _HALF),
     lambda: FockIntertwiner(Q(1, 2), Q(1, 2)).theta(
         0, 3, _HALF, FockVector.basis(Q(1), ())),
+    lambda: jacobi_kernel_element(FockModule(Q(1)), 0, 0, 0, 0, ONE, _HALF),
+    lambda: jacobi_kernel_element(FockModule(Q(1)), 0, 0, 0, 0,
+                                  FockVector.basis(Q(2), ()), FockVector.basis(Q(1), ())),
 ], ids=["module-theta", "module-theta-dual", "module-mode-v", "module-mode-w",
         "right-entry", "right-entry-conjugated",
         "right-entry-direct", "right-entry-right-op", "intertwiner-theta-w1",
@@ -514,7 +543,7 @@ def _half_table():
         "table-value", "algebra-vertex-series", "module-theta-v-off-level",
         "module-theta-w-off-level", "module-theta-dual-v-off-level",
         "module-theta-dual-wprime-off-level", "intertwiner-theta-w1-off-level",
-        "intertwiner-theta-w2-off-level"])
+        "intertwiner-theta-w2-off-level", "kernel-element-w", "kernel-element-v"])
 def test_wrong_charge_raises(call):
     with pytest.raises(ValueError):
         call()
