@@ -348,18 +348,22 @@ def make_parser() -> argparse.ArgumentParser:
                     "on free-boson Fock modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command takes only the flags it reads
     def common(p):
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--N", type=int, help="matrix index bound")
         p.add_argument("--lmax", dest="L_max", metavar="LMAX", type=int,
                        help="level truncation bound")
-        p.add_argument("--seed", type=int, help="seed for randomized grids")
+
+    def grids(p):
         p.add_argument("--max-v-weight", dest="max_v_weight", type=int,
                        help="largest algebra weight in the grids")
         p.add_argument("--charges", help="comma-separated rational charges")
 
     pv = sub.add_parser("verify", help="run verification suites")
     common(pv)
+    pv.add_argument("--seed", type=int, help="seed for randomized grids")
+    grids(pv)
     pv.add_argument("--suite", dest="suites", action="append", choices=SUITE_NAMES,
                     help="run only the named suite (repeatable)")
     pv.add_argument("--json", help="write the JSON report here ('-' = stdout)")
@@ -370,6 +374,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("tables", help="emit structure-constant tables")
     common(pt)
+    grids(pt)
     pt.add_argument("--target", required=True, choices=("algebra", "bimodule"))
     pt.add_argument("--json", help="JSON output path ('-' = stdout)")
     pt.add_argument("--csv", help="CSV output path ('-' = stdout; overrides --json)")

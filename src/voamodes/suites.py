@@ -108,6 +108,10 @@ class RunConfig:
                 f"duplicate charges: {', '.join(rat_str(c) for c in repeated)}")
         if self.p_window[0] > self.p_window[1]:
             raise ConfigError("empty p window")
+        if self.p_window[1] < -self.n:
+            # every kernel and Jacobi point needs l + p >= 0 with l <= N
+            raise ConfigError(
+                "p window ends below -N: the kernel and Jacobi grids are empty")
         if self.max_v_weight < 1:
             raise ConfigError("max_v_weight must be positive")
         if not self.suites:
@@ -168,12 +172,9 @@ class RunContext:
         """The shared map table used by the certification suites."""
         if self._cert is None:
             cfg = self.cfg
-            kmax = 2 * cfg.n + max(cfg.p_window[1], 0)
-            if kmax > cfg.l_max:
-                raise TruncationOverflow(
-                    "certification grid needs levels beyond L_max")
             Y = self.intertwiner(Q(1, 2), Q(1, 2))
-            self._cert = MapTable.from_intertwiner(Y, kmax, cfg.l_max)
+            self._cert = MapTable.from_intertwiner(
+                Y, 2 * cfg.n + max(cfg.p_window[1], 0), cfg.l_max)
         return self._cert
 
     def module_probes(self) -> list:
@@ -629,20 +630,35 @@ _SUITE_FUNCS = {
 }
 
 
+# The highest module level a suite's grid reads or lands in, for the
+# suites that go beyond N (which validate bounds by L_max); run_suites
+# refuses a configuration over L_max before any suite runs.
+_LEVEL_BUDGET = {
+    # module levels l + p
+    "kernel": lambda cfg: cfg.n + max(cfg.p_window[1], 0),
+    # the subdiagonal kernel elements
+    "omega-commutators": lambda cfg: cfg.n + 1,
+    # the map table's target levels
+    "L1-cert": lambda cfg: 2 * cfg.n + max(cfg.p_window[1], 0),
+    # the map table, and the mode images (Y)_{p+j}(v) w1, with p >= -N
+    "jacobi-cert": lambda cfg: max(
+        2 * cfg.n + max(cfg.p_window[1], 0),
+        cfg.n + cfg.max_v_weight - 1 - max(cfg.p_window[0], -cfg.n)),
+}
+
+
 def run_suites(cfg: RunConfig, echo=None):
     """Run the configured suites in request order, one after another.
 
-    Each report is passed to echo, when given, as its suite ends.
+    Every suite's level budget is checked against L_max first.  Each
+    report is passed to echo, when given, as its suite ends.
     """
+    for name in cfg.suites:
+        level = _LEVEL_BUDGET[name](cfg) if name in _LEVEL_BUDGET else cfg.n
+        if level > cfg.l_max:
+            raise TruncationOverflow(
+                f"{name} needs module level {level}, beyond L_max {cfg.l_max}")
     ctx = RunContext(cfg)
-    # kernel evaluates on module levels l + p up to N + p_hi
-    if "kernel" in cfg.suites and cfg.n + max(cfg.p_window[1], 0) > cfg.l_max:
-        raise TruncationOverflow("kernel grid needs levels beyond L_max")
-    # omega-commutators evaluates its subdiagonal kernel elements at level N + 1
-    if "omega-commutators" in cfg.suites and cfg.n + 1 > cfg.l_max:
-        raise TruncationOverflow("omega-commutators needs level N + 1 within L_max")
-    if "jacobi-cert" in cfg.suites or "L1-cert" in cfg.suites:
-        ctx.cert_table()  # surface truncation problems before any suite runs
     reports = []
     for name in cfg.suites:
         start = time.perf_counter()

@@ -108,17 +108,21 @@ def test_wide_p_window_sweeps_only_recorded_points(tmp_path):
 
 
 def test_kernel_window_above_lmax_is_a_truncation_overflow(tmp_path):
-    # kernel reads module levels up to N + p_hi, so p_hi = 20 at N = 0 is
-    # refused before any suite runs, as jacobi-cert refuses it;
-    # omega-commutators reads level N + 1, so N = L_max = 4 is refused
-    # before homomorphism (several seconds) runs
+    # each row of the level budget is refused before any suite runs:
+    # kernel reads module levels up to N + p_hi, so p_hi = 20 at N = 0;
+    # omega-commutators reads level N + 1, so N = L_max = 4, before
+    # homomorphism (several seconds) runs; jacobi-cert's mode images reach
+    # N + max_v_weight - 1 + N = 7 at the defaults, after unit would have
+    # run; L1-cert's map table reaches 2N + p_hi = 6 at the defaults
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     cfgfile = tmp_path / "wide.cfg"
     cfgfile.write_text("p_window = 0, 20\n")
     for args in (["--N", "0", "--suite", "kernel", "--config", str(cfgfile)],
                  ["--N", "4", "--lmax", "4", "--suite", "homomorphism",
-                  "--suite", "omega-commutators"]):
+                  "--suite", "omega-commutators"],
+                 ["--max-v-weight", "4", "--suite", "unit", "--suite", "jacobi-cert"],
+                 ["--lmax", "4", "--suite", "L1-cert"]):
         got = subprocess.run([sys.executable, "-m", "voamodes.cli", "verify", *args],
                              env=env, capture_output=True, text=True, timeout=60)
         assert got.returncode == 3, args
@@ -126,6 +130,56 @@ def test_kernel_window_above_lmax_is_a_truncation_overflow(tmp_path):
         assert got.stderr.startswith("truncation overflow: ")
         assert got.stderr.count("\n") == 1
         assert "Traceback" not in got.stderr
+
+
+# (suite, RunConfig settings) whose level budget row is both reached and
+# needed: jacobi-cert's map-table term binds at max_v_weight 3 and its
+# mode-image term at 5
+_BUDGET_GRID = (
+    [("jacobi-cert", dict(n=n, max_v_weight=w, p_window=p))
+     for n in (0, 1) for w in (3, 5) for p in ((-2, 2), (-1, 3))]
+    + [("L1-cert", dict(n=n, p_window=p)) for n in (0, 1) for p in ((-1, 3), (0, 5))]
+    + [("kernel", dict(n=1, p_window=(-2, 3))), ("omega-commutators", dict(n=4))])
+
+
+@pytest.mark.parametrize("name, settings", _BUDGET_GRID, ids=[
+    name + "".join(f"-{key}={value}" for key, value in settings.items()).replace(" ", "")
+    for name, settings in _BUDGET_GRID])
+def test_level_budget_rows_are_exact(name, settings):
+    level = suites._LEVEL_BUDGET[name](RunConfig(**settings))
+    # at L_max equal to the row the suite runs through
+    fits = RunConfig(l_max=level, **settings)
+    assert suites._SUITE_FUNCS[name](suites.RunContext(fits)).ok
+    # one level below it is refused before any suite runs, binomial-218
+    # first included
+    below = RunConfig(l_max=level - 1, suites=("binomial-218", name), **settings)
+    with pytest.raises(TruncationOverflow) as exc:
+        run_suites(below, echo=lambda report: pytest.fail("a suite ran"))
+    assert str(exc.value) == f"{name} needs module level {level}, beyond L_max {level - 1}"
+    # and the certification suites, run anyway, overflow inside
+    if name in ("jacobi-cert", "L1-cert"):
+        with pytest.raises(TruncationOverflow):
+            suites._SUITE_FUNCS[name](suites.RunContext(below))
+
+
+def test_level_budget_grid_covers_every_row():
+    # every other suite stays within N, which validate bounds by L_max
+    assert {name for name, _ in _BUDGET_GRID} == set(suites._LEVEL_BUDGET) == {
+        "kernel", "omega-commutators", "jacobi-cert", "L1-cert"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--target", "algebra", "--N", "0", "--seed", "1"],
+    ["intertwiner", "--l1", "1/2", "--l2", "1/2", "--N", "0", "--seed", "1"],
+    ["intertwiner", "--l1", "1/2", "--l2", "1/2", "--N", "0", "--charges", "1/2"],
+    ["intertwiner", "--l1", "1/2", "--l2", "1/2", "--N", "0", "--max-v-weight", "1"],
+], ids=["tables-seed", "intertwiner-seed", "intertwiner-charges",
+        "intertwiner-max-v-weight"])
+def test_commands_refuse_flags_they_never_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_config_file_errors(tmp_path):
@@ -495,6 +549,9 @@ def test_runconfig_validation():
         RunConfig(suites=("unit", "kernel", "unit")).validate()
     with pytest.raises(ConfigError, match="duplicate charges: 1/2, 1$"):
         RunConfig(charges=(Q(1, 2), Q(1), Q(2, 4), 1)).validate()
+    # p_hi < -N leaves the kernel and Jacobi grids empty
+    with pytest.raises(ConfigError, match="p window ends below -N"):
+        RunConfig(n=1, p_window=(-3, -3)).validate()
     assert RunConfig().validate().n == 2
 
 
