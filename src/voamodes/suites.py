@@ -108,7 +108,7 @@ class RunConfig:
                 f"duplicate charges: {', '.join(rat_str(c) for c in repeated)}")
         if self.p_window[0] > self.p_window[1]:
             raise ConfigError("empty p window")
-        if self.p_window[1] < -self.n:
+        if self.p_window[1] < -self.n and {"kernel", "jacobi-cert"} & set(self.suites):
             # every kernel and Jacobi point needs l + p >= 0 with l <= N
             raise ConfigError(
                 "p window ends below -N: the kernel and Jacobi grids are empty")
@@ -650,11 +650,12 @@ _LEVEL_BUDGET = {
 def run_suites(cfg: RunConfig, echo=None):
     """Run the configured suites in request order, one after another.
 
-    Every suite's level budget is checked against L_max first.  Each
-    report is passed to echo, when given, as its suite ends.
+    The level budget of every selected suite with a row is checked
+    against L_max first.  Each report is passed to echo, when given, as
+    its suite ends.
     """
-    for name in cfg.suites:
-        level = _LEVEL_BUDGET[name](cfg) if name in _LEVEL_BUDGET else cfg.n
+    for name in (name for name in cfg.suites if name in _LEVEL_BUDGET):
+        level = _LEVEL_BUDGET[name](cfg)
         if level > cfg.l_max:
             raise TruncationOverflow(
                 f"{name} needs module level {level}, beyond L_max {cfg.l_max}")
