@@ -21,6 +21,12 @@ intertwiner of type (W; V W) (Frenkel-Huang-Lepowsky 1993):
 FockModule(q).mode and .theta are those of FockIntertwiner(0, q), its
 `vertex_operator`.  The algebra V is F(0) as a module over itself, so
 its vertex operator is FockIntertwiner(0, 0).
+
+Truncation: an evaluation map raises TruncationOverflow when a level it
+names is above the cap -- the target k, or the input level l that a
+nonzero v meets (for k >= 0).  A mode or a series raises when its result
+lands above the cap.  The builders behind matrix entries, `mode_series`
+and `right_vertex_op`, check nothing.
 """
 
 from __future__ import annotations
@@ -124,8 +130,8 @@ def _basis(lam: Fraction, level: int) -> tuple:
 class FockModule:
     """The Fock module F(lam): charge lam, lowest weight lam^2/2.
 
-    `level_cap` is the hard truncation bound: operations whose stated
-    result would live above it raise TruncationOverflow.
+    `level_cap` is the hard truncation bound: an evaluation map naming a
+    level above it, or a mode landing above it, raises TruncationOverflow.
     """
 
     def __init__(self, lam, level_cap: int = 6):
@@ -196,19 +202,9 @@ class FockModule:
 
         W' has <Y'(v,x)w', w> = <w', Y(e^{xL(1)}(-x^-2)^{L(0)} v, x^-1) w>, so
         it is W twisted by sigma: a'(n) = -a(n), and sigma fixes the conformal
-        vector.  On v of weight h this is the mode of index h + l - k - 1, zero
-        for k < 0.  Above the cap, k or a level l of w' that v meets raises.
+        vector.  sigma keeps the charge, so theta makes every check: the
+        charges, and the two levels it names.
         """
-        if not same_charge(v.charge, ALGEBRA_CHARGE):
-            raise ValueError("contragredient modes take algebra vectors")
-        if not same_charge(wprime.charge, self.lam):
-            raise ValueError("vector does not belong to this module")
-        if k > self.level_cap:
-            raise TruncationOverflow(f"target level {k} above cap")
-        # theta() checks the target level only
-        if l > self.level_cap and k >= 0 and v.terms and any(
-                sum(mu) == l for mu in wprime.terms):
-            raise TruncationOverflow(f"contragredient mode level {l} exceeds cap")
         return self.theta(k, l, sigma(v), wprime)
 
     def __repr__(self):
@@ -279,6 +275,7 @@ class FockIntertwiner:
         -lam1 lam2, a(-nu)|lam1> of level a contributes its
         x^(lam1 lam2 + k - l - a) coefficient: level k of the engine's
         expansion of each pair with a(-mu)|lam2> of level l, zero for k < 0.
+        Above the cap, k raises, and so does l when w1 meets a level-l term.
         """
         if not (same_charge(w1.charge, self.lam1) and same_charge(w2.charge, self.lam2)):
             raise ValueError("intertwiner modes take (source, right input) vectors")
@@ -287,6 +284,8 @@ class FockIntertwiner:
         out: dict = {}
         if k >= 0:
             w2_l = [(mu, c2) for mu, c2 in w2.terms.items() if sum(mu) == l]
+            if l > self.level_cap and w1.terms and w2_l:
+                raise TruncationOverflow(f"input level {l} above cap")
             for nu, c1 in w1.terms.items():
                 for mu, c2 in w2_l:
                     got = expand_pair(nu, self.lam1, mu, self.lam2, k)[k]
@@ -299,11 +298,11 @@ class FockIntertwiner:
                 f"cap={self.level_cap})")
 
 
-def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,
-                    lo: int, hi: int) -> dict:
+def right_vertex_op(w: FockVector, v: FockVector, lo: int, hi: int) -> dict:
     """Y(w, x)v on the right: e^{x L(-1)} Y_W(v, -x) w, over [lo, hi].
 
-    Returns {integer exponent: nonzero vector}.
+    Returns {integer exponent: nonzero vector}.  W is F(w.charge); like
+    `mode_series`, this builds matrix entries, so no level cap applies.
 
     The modes of Y_W(v, z) w come from `mode_series`; the exponential of
     L(-1) is applied with the Sugawara core on integer numerators: at
@@ -311,12 +310,12 @@ def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,
     multiplies its denominator by Qd a.  Each exponent sums its chain
     elements over one common denominator and divides once per term.
     """
-    if not (same_charge(w.charge, module.lam) and same_charge(v.charge, ALGEBRA_CHARGE)):
-        raise ValueError("right vertex operator takes (module, algebra) vectors")
-    _check_result_level(v, w, hi, module.level_cap, "window")
-    p_num, q_den = module.lam.numerator, module.lam.denominator
+    if not same_charge(v.charge, ALGEBRA_CHARGE):
+        raise ValueError("right vertex operator takes an algebra vector v")
+    lam = w.charge
+    p_num, q_den = lam.numerator, lam.denominator
     sums: dict = {}
-    series = mode_series(v.terms, ALGEBRA_CHARGE, w.terms, module.lam, hi)
+    series = mode_series(v.terms, ALGEBRA_CHARGE, w.terms, lam, hi)
     for t, terms in series.items():
         den, nums = _numerators(terms)
         if t % 2:
@@ -335,5 +334,5 @@ def right_vertex_op(module: FockModule, w: FockVector, v: FockVector,
     for s, acc in sums.items():
         terms = acc.canonical()
         if terms:
-            out[s] = _trusted_vector(module.lam, terms)
+            out[s] = _trusted_vector(lam, terms)
     return out

@@ -39,8 +39,10 @@ calls the memo-free `left_entry_sum` and `right_entry_conjugated`.
 
 Matrix entries are exact and uncapped: products routinely pass through
 weights above the module truncation bound on their way to a residue, and
-nothing is dropped.  The caps are enforced where results are promised to
-land (the theta maps, the public mode operations).
+nothing is dropped.  So the builders behind them -- `mode_series`,
+`right_vertex_op`, the residue entries and a kernel element's mode sum --
+check no cap.  The caps hold where results are promised: an evaluation
+map checks both levels it names, a mode or a series where it lands.
 """
 
 from __future__ import annotations
@@ -345,15 +347,14 @@ def _right_op_series(w: FockVector, v: FockVector, t_hi: int) -> dict:
     and divides once per term.
     """
     charge = w.charge
-    scratch = FockModule(charge, level_cap=10 ** 9)
     lowest = -(max(w.levels(), default=0) + max(v.levels(), default=0) + 1)
     # Y_{WV}((1+x)^{L(0)} w, x) v: on level lev of w the dressing is the
     # scalar series (1+x)^{h_W + lev}, so one right vertex operator per
     # level, each mode shifted by the binomial's degree d
     assembled: dict = {}
     for lev in w.levels():
-        hw = scratch.h + lev
-        ser = right_vertex_op(scratch, w.level_component(lev), v, lowest, t_hi)
+        hw = charge * charge / 2 + lev
+        ser = right_vertex_op(w.level_component(lev), v, lowest, t_hi)
         for e, vec in ser.items():
             for d in range(t_hi - e + 1):
                 _add_into(assembled.setdefault(e + d, {}), vec.terms,

@@ -97,7 +97,7 @@ def test_equal_but_distinct_charges_pass_every_check(clear_caches):
             M.mode(v, 1, w), M.theta(2, 2, v, w), M.theta_dual(2, 2, v, w),
             Y.mode(Q(-5, 4), hw1, w2), Y.theta(2, 1, hw1, w2),
             Y.series(hw1, w2, Q(-1, 4), Q(7, 4)),
-            right_vertex_op(M, w, v, -3, 1),
+            right_vertex_op(w, v, -3, 1),
             f.value(1, 1, hw1, w2),
             left_entry(v, w, 1, 1, 2),
             *(entry(w, v, 2, 1, 1)

@@ -252,7 +252,7 @@ def test_series_values_are_never_zero(table, Y):
     assert yf_series(f, hw1, w2) == {Q(-3, 4): hw3}
     # e^{xL(-1)} Y(a(-1), -x)|1> at x^0: a(-1)|1> - L(-1)|1> = 0
     M1 = FockModule(1, level_cap=8)
-    assert 0 not in right_vertex_op(M1, M1.highest(), A1, -1, 2)
+    assert 0 not in right_vertex_op(M1.highest(), A1, -1, 2)
     mixed1 = [hw1 - a1, hw1 + a1.scale(Q(1, 2)) - Y.source.basis(2)[1]]
     mixed2 = [w2, Y.right_input.highest() - Y.right_input.basis(2)[0]]
     for w1 in mixed1:
@@ -267,7 +267,7 @@ def test_series_values_are_never_zero(table, Y):
     for module, w in ((M1, M1.highest()), (M1, M1.basis(1)[0] - M1.highest()),
                       (M, M.highest() + M.basis(2)[0])):
         for v in (A1, ONE - A1, OM + A1):
-            ser = right_vertex_op(module, w, v, -4, 3)
+            ser = right_vertex_op(w, v, -4, 3)
             assert all(not vec.is_zero() for vec in ser.values())
 
 

@@ -244,6 +244,8 @@ def test_theta_dual_matches_pairing_oracle_on_grid(lam, cap):
                     got = _outcome(M.theta_dual, k, l, v, wp)
                     assert got == _outcome(pairing_theta_dual, M, k, l, v, wp), \
                         (k, l, v, wp)
+                    # theta_dual is theta on sigma v, at the cap too
+                    assert _outcome(M.theta, k, l, sigma(v), wp) == got, (k, l, v, wp)
 
 
 def _sigma_breaks_products(sig):
@@ -284,6 +286,14 @@ def test_dual_mode_truncation():
     with pytest.raises(TruncationOverflow):
         M.theta_dual(4, 2, OM, M.basis(2)[0])       # n = -1
     assert M.theta_dual(3, 2, OM, M.basis(2)[0]).levels() == [3]     # n = 0
+    # the intertwiner's own map checks its input level l as well
+    Y = FockIntertwiner(Q(1, 2), Q(1, 2), level_cap=4)
+    w1, a5 = Y.source.highest(), FockVector.basis(Q(1, 2), (5,))
+    with pytest.raises(TruncationOverflow):
+        Y.theta(0, 5, w1, a5)
+    # no level-5 term of w2, or k < 0: nothing is read, and the image is zero
+    assert Y.theta(0, 5, w1, Y.right_input.basis(4)[0]).is_zero()
+    assert Y.theta(-1, 5, w1, a5).is_zero()
 
 
 def test_mode_truncation():
@@ -433,13 +443,13 @@ def test_theta_y_examples():
 
 def test_right_vertex_op():
     M0 = FockModule(0, level_cap=8)
-    ser = right_vertex_op(M0, M0.highest(), ONE, -2, 3)
+    ser = right_vertex_op(M0.highest(), ONE, -2, 3)
     assert ser.get(0) == M0.highest()
     assert len(ser) == 1
     # creation property: x^0 coefficient of Y(w, x) 1 is w
     for lev in range(3):
         for w in M0.basis(lev):
-            ser = right_vertex_op(M0, w, ONE, 0, 0)
+            ser = right_vertex_op(w, ONE, 0, 0)
             assert ser.get(0) == w
     # agreement with the conjugated expansion e^{xL(-1)} Y(v,-x) w
     M = FockModule(Q(1, 2), level_cap=8)
@@ -450,7 +460,7 @@ def test_right_vertex_op():
     for _ in range(10):
         w = rng.choice(pool)
         v = rng.choice([A1, OM, FockVector.basis(0, (2,))])
-        ser = right_vertex_op(M, w, v, -4, 4)
+        ser = right_vertex_op(w, v, -4, 4)
         for s in range(-4, 5):
             want = M.zero()
             for a in range(0, 9):

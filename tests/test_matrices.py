@@ -601,7 +601,7 @@ def test_results_are_canonical_and_own_their_terms():
         # u, v, w and w2 come from the FockVector constructor; the series
         # coefficients come out of the {t: terms} collector
         coeffs = [*Y.series(w, w2, e0 - 6, e0 + t).values(),
-                  *right_vertex_op(M, w, v, -7, t).values()]
+                  *right_vertex_op(w, v, -7, t).values()]
         for vec in (u, v, w, w2, u + v, u - u, u.scale(Q(-2, 3)), u.scale(0),
                     u.level_component(2), sugawara_l(-1, w), sugawara_l(1, w),
                     l_zero(w), M.mode(v, t, w), Y.mode(-t - 1 - e0, w, w2),
@@ -644,7 +644,7 @@ def test_results_are_canonical_and_own_their_terms():
                 for vec in Y.series(u, w2, e0 - 3, e0 + k).values():
                     _assert_canonical(vec)
             for v in (ONE, A1):
-                for vec in right_vertex_op(M, w, v, -4, k).values():
+                for vec in right_vertex_op(w, v, -4, k).values():
                     _assert_canonical(vec)
 
 
@@ -840,7 +840,7 @@ def test_right_vertex_op_matches_fraction_loop(charge):
             want = fraction_right_vertex_op(M, w, v, lowest, 3)
             for hi in range(4):
                 for lo in (lowest, 0):
-                    got = right_vertex_op(M, w, v, lo, hi)
+                    got = right_vertex_op(w, v, lo, hi)
                     assert got == {s: vec for s, vec in want.items() if lo <= s <= hi}, \
                         (w, v, lo, hi)
                     for vec in got.values():
